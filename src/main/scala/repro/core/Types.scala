@@ -17,7 +17,8 @@ object AggFunc {
   * online fashion, paper §2.1); `statistic` is f(x) and `predicate` is
   * O(x), both of which the algorithms may only observe through an
   * [[OracleModel]]. Ground-truth helpers on this class are reserved for
-  * the evaluation harness.
+  * the evaluation harness. Proxies must be finite: a NaN or ±Inf score
+  * has no stratum, so it is rejected here rather than sampled.
   */
 final case class StreamDataset(
     name: String,
@@ -28,6 +29,10 @@ final case class StreamDataset(
   require(proxy.length == statistic.length && proxy.length == predicate.length,
     s"parallel arrays must agree: ${proxy.length}/${statistic.length}/${predicate.length}")
   require(proxy.nonEmpty, "empty stream")
+  require(proxy.forall(java.lang.Double.isFinite), {
+    val i = proxy.indexWhere(p => !java.lang.Double.isFinite(p))
+    s"non-finite proxy ${proxy(i)} at idx $i"
+  })
 
   val length: Int = proxy.length
 

@@ -1,32 +1,36 @@
 package repro.spark
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core._
+import repro.sampling.Reservoir
 import repro.util.Rng
+import scala.collection.immutable.ArraySeq
 
-/** The InQuest data plane as Catalyst operators (DESIGN.md §2).
+/** The InQuest segment step on Spark (DESIGN.md §2).
   *
   * One instance processes a stream one tumbling segment (micro-batch) at
   * a time, keeping only the small driver-side state InQuest needs between
   * segments: the strata-boundary history, the allocation history and the
-  * per-cell sufficient statistics. Per segment everything heavy runs as
-  * DataFrame operations:
+  * per-cell sufficient statistics. Every segment, the pilot included, is
+  * exactly two Spark actions:
   *
-  *   - proxy-quantile boundaries: the exact `percentile` aggregate (same
-  *     linear-interpolation definition as `Stats.quantileBoundaries`);
-  *   - stratum assignment: a `when`-chain on the proxy column;
-  *   - reservoir draw: `row_number` over (hash-uniform, idx) per stratum
-  *     — bit-identical to `Reservoir.bottomN` because both hash
-  *     `(seed, idx, tag)` with the same splitmix64 mixer;
-  *   - oracle invocation: `statistic`/`predicate` are only read on rows
-  *     that survive the sampling filter, and the count of such rows is
-  *     asserted against the `ORACLE LIMIT`;
-  *   - cell statistics: one `groupBy(stratum)` aggregation.
+  *   1. collect the segment's `(idx, proxy)` keys to the driver (16 B per
+  *      record): the cheap proxy is read for every record;
+  *   2. read `statistic`/`predicate` for the sampled `idx`s only (an
+  *      `isin` filter): the metered oracle invocation, whose row count is
+  *      asserted against the `ORACLE LIMIT`.
+  *
+  * Between the two, the driver runs the functions the local engine calls:
+  * proxy-quantile strata, stratum split, allocation and the
+  * `Reservoir.bottomN` draw, so both engines pick identical records. Each
+  * cell sums its observations in sampling order, ascending
+  * `(Rng.uniform(trialSeed, idx, tag), idx)`, where the local engine sums
+  * in `idx` order; on non-integer statistics the two engines may
+  * therefore differ in the last bits.
   *
   * Equivalence with the record-at-a-time [[repro.core.InQuest]] engine is
-  * asserted exactly in `SparkInQuestSpec`.
+  * asserted in `SparkInQuestSpec`.
   */
 final class SparkInQuestProcessor(
     params: InQuestParams,
@@ -42,118 +46,91 @@ final class SparkInQuestProcessor(
   private var segmentsSeen = 0
   private var calls = 0L
 
-  /** Spark-side uniform hash, identical to [[Rng.uniform]]. The closure
-    * captures only local primitives — capturing `this` would drag the
-    * whole processor (driver-side builders) into task serialization.
+  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies are
+    * rejected, naming the smallest bad `idx`.
     */
-  private def uniformCol(tag: Long): Column = {
-    val seed = trialSeed
-    val t = tag
-    val u = udf((idx: Long) => Rng.uniform(seed, idx, t))
-    u(col("idx"))
+  private def collectKeys(segDf: DataFrame): (ArraySeq[Long], ArraySeq[Double]) = {
+    val rows = segDf.select(col("idx"), col("proxy")).collect()
+    val idx = ArraySeq.unsafeWrapArray(rows.map(_.getLong(0)))
+    val proxy = ArraySeq.unsafeWrapArray(rows.map(_.getDouble(1)))
+    require(proxy.forall(java.lang.Double.isFinite), {
+      val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx)
+      s"non-finite proxy ${proxy(i)} at idx ${idx(i)}"
+    })
+    (idx, proxy)
   }
 
-  private def stratumCol(boundaries: Array[Double]): Column =
-    boundaries.zipWithIndex.foldRight(lit(boundaries.length): Column) {
-      case ((b, k), rest) => when(col("proxy") < b, lit(k)).otherwise(rest)
-    }
-
-  /** Exact interior K-quantile boundaries of the segment's proxies. */
-  private def quantiles(segDf: DataFrame): Array[Double] =
-    if (params.k == 1) Array.empty
-    else {
-      // SQL `percentile` is the *exact* aggregate with the same
-      // linear-interpolation definition as Stats.quantileBoundaries.
-      val qs = (1 until params.k).map(_.toDouble / params.k).mkString("array(", ",", ")")
-      segDf
-        .selectExpr(s"percentile(proxy, $qs) as q")
-        .head().getSeq[Double](0).toArray
-    }
-
-  /** Aggregate sampled rows (with observed statistic/predicate) plus the
-    * per-stratum population counts into [[StratumStats]] cells.
+  /** Action 2: the oracle's `(statistic, predicate)` for the sampled
+    * records only.
     */
-  private def cellStats(segDf: DataFrame, boundaries: Array[Double],
-                        sampledFilter: Column): Seq[StratumStats] = {
-    val k = boundaries.length + 1
-    val withStratum = segDf.withColumn("stratum", stratumCol(boundaries))
-    val matchCol =
-      if (query.usePredicate) col("predicate") else lit(true)
-    val agg = withStratum
-      .groupBy(col("stratum"))
-      .agg(
-        count(lit(1)) as "sizeD",
-        count(when(sampledFilter, 1)) as "nSampled",
-        count(when(sampledFilter && matchCol, 1)) as "nPos",
-        coalesce(sum(when(sampledFilter && matchCol, col("statistic"))), lit(0.0)) as "sumF",
-        coalesce(sum(when(sampledFilter && matchCol,
-          col("statistic") * col("statistic"))), lit(0.0)) as "sumSqF",
-      )
-      .collect()
-      .map(r => r.getInt(0) ->
-        StratumStats(r.getLong(1), r.getLong(2).toInt, r.getLong(3).toInt,
-          r.getDouble(4), r.getDouble(5)))
+  private def invokeOracle(segDf: DataFrame, sampled: Seq[Long]): Map[Long, (Double, Boolean)] = {
+    val cols = col("idx") +: col("statistic") +: (if (query.usePredicate) Seq(col("predicate")) else Nil)
+    segDf.filter(col("idx").isInCollection(sampled)).select(cols: _*).collect()
+      .map(r => r.getLong(0) -> (r.getDouble(1), !query.usePredicate || r.getBoolean(2)))
       .toMap
-    (0 until k).map(s => agg.getOrElse(s, StratumStats(0, 0, 0, 0.0, 0.0)))
   }
 
-  /** Process segment `t` (0-based); `segDf` must hold exactly that
-    * tumbling window's records. Returns the segment's cells.
+  /** Record indices per stratum, as [[Stratification.split]] does for the
+    * local engine.
     */
-  def processSegment(segDf: DataFrame): Seq[StratumStats] = {
-    val t = segmentsSeen
-    val df = segDf.cache()
-    try {
-      val segCells: Seq[StratumStats] =
-        if (t == 0) {
-          // Pilot: N uniform samples over the whole segment, one stratum.
-          val sampled = row_number().over(
-            Window.orderBy(col("u"), col("idx"))) <= query.budgetPerSegment
-          val withU = df.withColumn("u", uniformCol(InQuest.SampleTag))
-          val pilot = cellStats(withU.withColumn("sampled",
-              sampled).withColumn("stratum", lit(0)), Array.empty, col("sampled"))
-          // Seed histories from segment 1 (DESIGN.md §6 "Pilot segment").
-          val s1 = quantiles(df)
-          strataHistory += s1
-          allocHistory += Allocation.rawAllocation(
-            cellStats(withU.withColumn("sampled", sampled), s1, col("sampled")))
-          pilot
-        } else {
-          val boundaries = Stratification.smooth(strataHistory.result(), params.alpha)
-          val aHat = Allocation.smooth(allocHistory.result(), params.alpha)
-          // Stratum populations (one cheap aggregation) to cap the counts
-          // exactly like the local engine does.
-          val sizeByStratum = df
-            .withColumn("stratum", stratumCol(boundaries))
-            .groupBy(col("stratum")).count()
-            .collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-          val sizes = Array.tabulate(params.k)(s => sizeByStratum.getOrElse(s, 0L))
-          val counts = Allocation.capToSizes(
-            Allocation.sampleCounts(aHat, n1, n2), sizes)
-          val countCol = counts.zipWithIndex.foldRight(lit(0): Column) {
-            case ((c, s), rest) => when(col("stratum") === s, lit(c)).otherwise(rest)
-          }
-          val sampledFlag = row_number().over(
-            Window.partitionBy(col("stratum")).orderBy(col("u"), col("idx"))) <= countCol
-          val withFlags = df
-            .withColumn("stratum", stratumCol(boundaries))
-            .withColumn("u", uniformCol(InQuest.SampleTag + t + 1))
-            .withColumn("sampled", sampledFlag)
-          val segCells = cellStats(withFlags, boundaries, col("sampled"))
-          strataHistory += quantiles(df)
-          allocHistory += Allocation.rawAllocation(segCells)
-          segCells
-        }
+  private def split(idx: Seq[Long], proxy: Seq[Double], boundaries: Array[Double]): Array[Vector[Long]] = {
+    val out = Array.fill(boundaries.length + 1)(Vector.newBuilder[Long])
+    idx.indices.foreach(i => out(Stratification.assign(proxy(i), boundaries)) += idx(i))
+    out.map(_.result())
+  }
 
-      val segCalls = segCells.map(_.nSampled.toLong).sum
-      require(segCalls <= query.budgetPerSegment,
-        s"oracle budget exceeded in segment $t: $segCalls > ${query.budgetPerSegment}")
-      calls += segCalls
-      cells += segCells
-      estimates += Estimator.segmentEstimate(segCells, query.agg)
-      segmentsSeen += 1
-      segCells
-    } finally df.unpersist()
+  /** One cell from its sampled records, summed in sampling order. */
+  private def cell(sizeD: Long, sampled: Seq[Long], tag: Long,
+                   obs: Map[Long, (Double, Boolean)]): StratumStats =
+    StratumStats.fromSamples(sizeD,
+      sampled.sortBy(i => (Rng.uniform(trialSeed, i, tag), i)).map { i =>
+        obs.getOrElse(i, throw new IllegalStateException(s"no oracle row for sampled idx $i"))
+      })
+
+  /** Process the next tumbling segment; `segDf` must hold exactly that
+    * segment's records. Returns the segment's cells, or `None` (and no
+    * change of state) when `segDf` holds no records.
+    */
+  def processSegment(segDf: DataFrame): Option[Seq[StratumStats]] = {
+    val t = segmentsSeen
+    val (idx, proxy) = collectKeys(segDf)
+    if (idx.isEmpty) return None
+    val ownStrata = Stratification.quantileStrata(proxy, params.k)
+
+    val (segCells, allocCells) =
+      if (t == 0) {
+        // Pilot: N uniform samples over the whole segment, one stratum.
+        // They seed the allocation history bucketed by the segment's own
+        // strata S_1 (DESIGN.md §6 "Pilot segment").
+        val tag = InQuest.SampleTag
+        val pilot = Reservoir.bottomN(idx, math.min(query.budgetPerSegment, idx.length), trialSeed, tag)
+        val obs = invokeOracle(segDf, pilot)
+        val pilotSet = pilot.toSet
+        val seeded = split(idx, proxy, ownStrata).map(s => cell(s.size, s.filter(pilotSet), tag, obs))
+        (Seq(cell(idx.length, pilot, tag, obs)), seeded.toSeq)
+      } else {
+        val tag = InQuest.SampleTag + t + 1
+        val boundaries = Stratification.smooth(strataHistory.result(), params.alpha)
+        val aHat = Allocation.smooth(allocHistory.result(), params.alpha)
+        val byStratum = split(idx, proxy, boundaries)
+        val counts = Allocation.capToSizes(
+          Allocation.sampleCounts(aHat, n1, n2), byStratum.map(_.size.toLong))
+        val sampled = byStratum.indices.map(k => Reservoir.bottomN(byStratum(k), counts(k), trialSeed, tag))
+        val obs = invokeOracle(segDf, sampled.flatten)
+        val segCells = byStratum.indices.map(k => cell(byStratum(k).size, sampled(k), tag, obs))
+        (segCells, segCells)
+      }
+
+    val segCalls = segCells.map(_.nSampled.toLong).sum
+    require(segCalls <= query.budgetPerSegment,
+      s"oracle budget exceeded in segment $t: $segCalls > ${query.budgetPerSegment}")
+    strataHistory += ownStrata
+    allocHistory += Allocation.rawAllocation(allocCells)
+    calls += segCalls
+    cells += segCells
+    estimates += Estimator.segmentEstimate(segCells, query.agg)
+    segmentsSeen += 1
+    Some(segCells)
   }
 
   def result: RunResult = {

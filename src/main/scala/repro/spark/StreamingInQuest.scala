@@ -37,13 +37,11 @@ final class StreamingInQuest(
       .start()
 
   /** One micro-batch = one tumbling segment. Also callable directly from
-    * a user-managed `foreachBatch` closure.
+    * a user-managed `foreachBatch` closure. An empty batch changes nothing.
     */
   def processBatch(segment: DataFrame): Unit = synchronized {
-    if (!segment.isEmpty) {
-      processor.processSegment(segment)
+    if (processor.processSegment(segment).isDefined)
       latest = Some(processor.result.finalEstimate)
-    }
   }
 
   /** The user-facing real-time query answer (paper Figure 3, step 6). */

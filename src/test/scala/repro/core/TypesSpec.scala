@@ -33,6 +33,14 @@ class TypesSpec extends SparkSpec {
       StreamDataset("bad", Array(0.1), Array(1.0, 2.0), Array(true)))
   }
 
+  test("non-finite proxies are rejected, naming the first bad idx") {
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { bad =>
+      val e = intercept[IllegalArgumentException](
+        StreamDataset("bad", Array(0.1, 0.2, bad, bad), Array.fill(4)(1.0), Array.fill(4)(true)))
+      assert(e.getMessage.contains(s"non-finite proxy $bad at idx 2"), e.getMessage)
+    }
+  }
+
   test("truthPerSegment AVG without predicate matches DuckDB") {
     val ds = tinyDs
     val truths = ds.truthPerSegment(1000, usePredicate = false)

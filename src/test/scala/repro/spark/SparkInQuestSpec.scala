@@ -1,8 +1,14 @@
 package repro.spark
 
+import java.util.concurrent.ConcurrentLinkedQueue
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.functions.{col, lit, udf}
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
 import repro.core._
 import repro.data.StreamGen
+import scala.jdk.CollectionConverters._
 
 /** The Catalyst micro-batch engine must match the record-at-a-time local
   * engine bit-for-bit (same hash-based sampling, same quantile
@@ -66,5 +72,77 @@ class SparkInQuestSpec extends SparkSpec {
     sparkR.perSegment.zip(local.perSegment).foreach { case (s, l) =>
       assert(math.abs(s - l) < 1e-9)
     }
+  }
+
+  private def records(n: Int, proxy: Int => Double = ds.proxy(_)): Seq[StreamRecord] =
+    (0 until n).map(i => StreamRecord(i.toLong, proxy(i), ds.statistic(i), ds.predicate(i)))
+
+  /** Spark jobs started by `body`. Listener events arrive in order, so once
+    * a marker job started after `body` has been seen, every job of `body`
+    * has been counted.
+    */
+  private def jobsStartedBy(body: => Unit): Int = {
+    val sc = spark.sparkContext
+    val key = "repro.test.op"
+    val ops = new ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(key))).foreach(ops.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, "body")
+      try body finally sc.setLocalProperty(key, "marker")
+      sc.parallelize(Seq(1), 1).count()
+      eventually(timeout(Span(30, Seconds))) { assert(ops.contains("marker")) }
+      ops.asScala.count(_ == "body")
+    } finally {
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
+  }
+
+  test("the pilot and a post-pilot segment each run at most two Spark jobs") {
+    // An RDD-backed input, so that every action runs a job: filters over a
+    // local relation would be evaluated on the driver without one.
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(records(2 * query.segmentLength), 4))
+    val proc = new SparkInQuestProcessor(InQuestParams(), query, 3L)
+    Seq("pilot", "post-pilot").zipWithIndex.foreach { case (name, t) =>
+      val seg = df.filter(col("idx") >= t * query.segmentLength && col("idx") < (t + 1) * query.segmentLength)
+      val jobs = jobsStartedBy(proc.processSegment(seg))
+      assert(jobs >= 1 && jobs <= 2, s"the $name segment started $jobs Spark jobs")
+    }
+    assert(proc.result.perSegment.length == 2)
+  }
+
+  test("the oracle columns are read on sampled rows only") {
+    val reads = spark.sparkContext.longAccumulator("oracle reads")
+    val oracle = udf { (f: Double) => reads.add(1); f }
+    val df = SparkData.toDF(spark, ds, partitions = 4).withColumn("statistic", oracle(col("statistic")))
+    val r = SparkInQuest.run(df, query, 11)
+    assert(r.oracleCalls == new InQuest().run(ds, query, 11).oracleCalls)
+    assert(reads.value == r.oracleCalls)
+  }
+
+  test("non-finite proxies fail the segment, naming the smallest bad idx") {
+    Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { bad =>
+      val recs = records(query.segmentLength, i => if (i == 700 || i == 900) bad else ds.proxy(i))
+      val proc = new SparkInQuestProcessor(InQuestParams(), query, 1L)
+      val e = intercept[IllegalArgumentException](
+        proc.processSegment(spark.createDataFrame(recs).repartition(3)))
+      assert(e.getMessage.contains(s"non-finite proxy $bad at idx 700"), e.getMessage)
+      assert(proc.result.perSegment.isEmpty)
+    }
+  }
+
+  test("an empty segment changes nothing") {
+    val df = SparkData.toDF(spark, ds)
+    val proc = new SparkInQuestProcessor(InQuestParams(), query, 2L)
+    assert(proc.processSegment(df.filter(lit(false))).isEmpty)
+    assert(proc.result.perSegment.isEmpty && proc.result.oracleCalls == 0)
+    assert(proc.processSegment(df.filter(col("idx") < query.segmentLength)).isDefined)
+    val local = new InQuest().run(StreamDataset("p", ds.proxy.take(query.segmentLength),
+      ds.statistic.take(query.segmentLength), ds.predicate.take(query.segmentLength)), query, 2L)
+    assert(proc.result.perSegment.toSeq == local.perSegment.toSeq)
   }
 }
