@@ -25,7 +25,6 @@ import repro.util.Stats
 final class ABae(
     k: Int = 3,
     pilotFraction: Double = 0.15,
-    segmentWeighting: ABae.SegmentWeighting = ABae.ExactWeights,
 ) extends StreamAlgorithm {
   require(k >= 1, s"need at least one stratum, got $k")
   require(pilotFraction > 0 && pilotFraction < 1,
@@ -38,8 +37,9 @@ final class ABae(
     // Batch algorithm: the budget is global, not per-segment.
     val oracle = new OracleModel(ds, query.segmentLength, None)
 
-    val boundaries = Stats.quantileBoundaries((0 until ds.length).map(ds.proxy), k)
-    val strataIdxs = Stratification.split(ds, 0 until ds.length, boundaries)
+    val (idx, proxy) = ds.keys(0 until ds.length)
+    val boundaries = Stats.quantileBoundaries(proxy, k)
+    val strataIdxs = Stratification.split(idx, proxy, boundaries)
 
     def observe(idxs: Seq[Long]): Vector[(Long, Double, Boolean)] =
       idxs.iterator.map { i =>
@@ -79,38 +79,17 @@ final class ABae(
 
     // Per-segment estimates "by selecting the subset of ABae's oracle
     // samples within each segment" (paper §5.2). The paper does not pin
-    // down the weights; both defensible readings are implemented:
-    //   ExactWeights  — per-segment ŵ_tk ∝ |D_tk|·p̂_tk (ABae sees every
-    //                   proxy score, so |D_tk| is available); the stronger
-    //                   estimator, our default.
-    //   GlobalWeights — ABae's own global ŵ_k ∝ |D_k|·p̂_k applied to the
-    //                   per-segment sample means; biased when segment
-    //                   composition drifts from the global mix.
-    val perSegment = segmentWeighting match {
-      case ABae.ExactWeights =>
-        val sizeDtk = Array.ofDim[Long](segs.size, k)
-        for (s <- 0 until k; i <- strataIdxs(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
-        segs.zipWithIndex.map { case (seg, t) =>
-          val cells = (0 until k).map { s =>
-            val inSeg = pooled(s).filter { case (i, _, _) => seg.contains(i.toInt) }
-            StratumStats.fromSamples(sizeDtk(t)(s), inSeg.map { case (_, f, o) => (f, o) })
-          }
-          Estimator.segmentEstimate(cells, query.agg)
-        }.toArray
-      case ABae.GlobalWeights =>
-        val globalW = finalCells.map(c => c.pHat * c.sizeD)
-        segs.map { seg =>
-          val inSegMeans = (0 until k).map { s =>
-            val pos = pooled(s).collect {
-              case (i, f, o) if o && seg.contains(i.toInt) => f
-            }
-            if (pos.isEmpty) None else Some(pos.sum / pos.size)
-          }
-          val present = inSegMeans.zip(globalW).collect { case (Some(m), w) => (m, w) }
-          val den = present.map(_._2).sum
-          if (den <= 0) 0.0 else present.map { case (m, w) => m * w }.sum / den
-        }.toArray
-    }
+    // down the weights; we use per-segment ŵ_tk ∝ |D_tk|·p̂_tk (ABae sees
+    // every proxy score, so |D_tk| is available), the strongest reading.
+    val sizeDtk = Array.ofDim[Long](segs.size, k)
+    for (s <- 0 until k; i <- strataIdxs(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
+    val perSegment = segs.zipWithIndex.map { case (seg, t) =>
+      val cells = (0 until k).map { s =>
+        val inSeg = pooled(s).filter { case (i, _, _) => seg.contains(i.toInt) }
+        StratumStats.fromSamples(sizeDtk(t)(s), inSeg.map { case (_, f, o) => (f, o) })
+      }
+      Estimator.segmentEstimate(cells, query.agg)
+    }.toArray
 
     RunResult(perSegment, Estimator.estimate(finalCells, query.agg), oracle.totalCalls)
   }
@@ -119,9 +98,4 @@ final class ABae(
 object ABae {
   val PilotTag: Long = 0xABAE_001L
   val Stage2Tag: Long = 0xABAE_002L
-
-  /** How the per-segment estimate weights ABae's stratum sample means. */
-  sealed trait SegmentWeighting
-  case object ExactWeights extends SegmentWeighting
-  case object GlobalWeights extends SegmentWeighting
 }

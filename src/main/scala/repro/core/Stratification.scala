@@ -24,11 +24,21 @@ object Stratification {
   def assign(proxy: Double, boundaries: Array[Double]): Int =
     Stats.stratumOf(proxy, boundaries)
 
-  /** Partition a segment's record indices into K strata by proxy score. */
-  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[Vector[Long]] = {
-    val k = boundaries.length + 1
-    val out = Array.fill(k)(Vector.newBuilder[Long])
-    segment.foreach { i => out(assign(ds.proxy(i), boundaries)) += i.toLong }
+  /** Partition a segment's records into K strata by proxy score: the
+    * record indices per stratum, in the order of `idx`. `idx` and `proxy`
+    * are parallel.
+    */
+  def split(idx: IndexedSeq[Long], proxy: IndexedSeq[Double], boundaries: Array[Double]): Array[Vector[Long]] =
+    splitBy(idx.length, idx(_), proxy(_), boundaries)
+
+  /** [[split]] over the records of `segment` of `ds`, without copying them. */
+  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[Vector[Long]] =
+    splitBy(segment.length, segment(_).toLong, i => ds.proxy(segment(i)), boundaries)
+
+  private def splitBy(n: Int, idx: Int => Long, proxy: Int => Double, boundaries: Array[Double]): Array[Vector[Long]] = {
+    val out = Array.fill(boundaries.length + 1)(Vector.newBuilder[Long])
+    var i = 0
+    while (i < n) { out(assign(proxy(i), boundaries)) += idx(i); i += 1 }
     out.map(_.result())
   }
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** Aggregation functions supported by InQuest queries (paper §2.1). */
 sealed trait AggFunc
 object AggFunc {
@@ -42,21 +44,27 @@ final case class StreamDataset(
     (0 until length by segmentLength).map(s => s until math.min(s + segmentLength, length))
   }
 
+  /** Indices and proxies of the records in `segment`, as parallel
+    * arrays: the keys InQuest stratifies and samples on.
+    */
+  def keys(segment: Range): (ArraySeq[Long], ArraySeq[Double]) = {
+    val idx = new Array[Long](segment.length)
+    val p = new Array[Double](segment.length)
+    var j = 0
+    segment.foreach { i => idx(j) = i; p(j) = proxy(i); j += 1 }
+    (ArraySeq.unsafeWrapArray(idx), ArraySeq.unsafeWrapArray(p))
+  }
+
   /** Exact per-segment query answer μ_t (evaluation harness only). */
   def truthPerSegment(segmentLength: Int, usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Array[Double] =
-    segments(segmentLength).map { seg =>
-      val matching = seg.filter(i => !usePredicate || predicate(i))
-      agg match {
-        case AggFunc.Avg =>
-          if (matching.isEmpty) 0.0 else matching.map(statistic).sum / matching.size
-        case AggFunc.Sum   => matching.map(statistic).sum
-        case AggFunc.Count => matching.size.toDouble
-      }
-    }.toArray
+    segments(segmentLength).map(truth(_, usePredicate, agg)).toArray
 
   /** Exact full-query answer μ (evaluation harness only). */
-  def truthOverall(usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Double = {
-    val matching = (0 until length).filter(i => !usePredicate || predicate(i))
+  def truthOverall(usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Double =
+    truth(0 until length, usePredicate, agg)
+
+  private def truth(records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
+    val matching = records.filter(i => !usePredicate || predicate(i))
     agg match {
       case AggFunc.Avg =>
         if (matching.isEmpty) 0.0 else matching.map(statistic).sum / matching.size

@@ -2,7 +2,7 @@ package repro.sampling
 
 import repro.util.Rng
 
-/** Uniform-without-replacement sampling from a stream, two ways.
+/** Uniform-without-replacement sampling from a stream.
   *
   * InQuest needs, per segment × stratum, a sample "uniform in time" drawn
   * without knowing the stratum's size in advance (paper §3.1, reservoir
@@ -11,33 +11,8 @@ import repro.util.Rng
   * draws it as "the n records with the smallest `Rng.uniform(seed, idx)`"
   * — a pure function of (seed, idx) that the local and Catalyst engines
   * compute identically (DESIGN.md §6).
-  *
-  * The literal single-pass Algorithm R is also provided (what a
-  * record-at-a-time deployment would run) and is property-tested for
-  * uniformity; the two are statistically indistinguishable.
   */
 object Reservoir {
-
-  /** Vitter's Algorithm R: one pass, O(n) memory, no length known ahead.
-    * Returns the sampled items in stream order.
-    */
-  def algorithmR[T](stream: Iterator[T], n: Int, seed: Long): Vector[T] = {
-    require(n >= 0, s"sample size must be >= 0, got $n")
-    if (n == 0) return Vector.empty
-    val buf = new scala.collection.mutable.ArrayBuffer[T](n)
-    var i = 0L
-    val rng = new Rng.Seq(seed, tag = 0x5E5E5E5EL)
-    while (stream.hasNext) {
-      val x = stream.next()
-      if (i < n) buf += x
-      else {
-        val j = (rng.nextUniform() * (i + 1)).toLong
-        if (j < n) buf(j.toInt) = x
-      }
-      i += 1
-    }
-    buf.toVector
-  }
 
   /** Deterministic uniform sample without replacement: the `n` indices of
     * `idxs` with the smallest hash-uniform, ties broken by index. Returns

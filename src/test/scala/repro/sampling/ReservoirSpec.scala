@@ -7,46 +7,6 @@ import repro.util.Stats
 
 class ReservoirSpec extends AnyFunSuite {
 
-  test("algorithmR returns exactly n items when the stream is longer") {
-    assert(Reservoir.algorithmR((1 to 100).iterator, 10, 1).size == 10)
-  }
-
-  test("algorithmR returns the whole stream when it is shorter than n") {
-    assert(Reservoir.algorithmR((1 to 5).iterator, 10, 1).toSet == (1 to 5).toSet)
-  }
-
-  test("algorithmR with n=0 is empty") {
-    assert(Reservoir.algorithmR((1 to 5).iterator, 0, 1).isEmpty)
-  }
-
-  test("algorithmR is deterministic in its seed") {
-    val a = Reservoir.algorithmR((1 to 1000).iterator, 20, 7)
-    val b = Reservoir.algorithmR((1 to 1000).iterator, 20, 7)
-    assert(a == b)
-  }
-
-  test("algorithmR samples without replacement") {
-    forAllSampled(Gen.chooseNum(1L, 1000L), n = 50) { seed =>
-      val s = Reservoir.algorithmR((1 to 200).iterator, 50, seed)
-      assert(s.distinct.size == s.size)
-    }
-  }
-
-  test("algorithmR inclusion probability is uniform across the stream") {
-    // Each of 100 items should appear in a size-10 sample with p = 0.1.
-    val n = 100; val k = 10; val trials = 20000
-    val counts = new Array[Int](n)
-    (0 until trials).foreach { t =>
-      Reservoir.algorithmR((0 until n).iterator, k, t.toLong).foreach(counts(_) += 1)
-    }
-    val expected = trials * k.toDouble / n
-    counts.zipWithIndex.foreach { case (c, i) =>
-      // ±5 sigma of Binomial(trials, 0.1)
-      assert(math.abs(c - expected) < 5 * math.sqrt(expected * 0.9),
-        s"item $i sampled $c times, expected ~$expected")
-    }
-  }
-
   test("bottomN returns n distinct indices in ascending order") {
     forAllSampled(Gen.chooseNum(1L, 1000L), n = 50) { seed =>
       val s = Reservoir.bottomN(0L until 500L, 50, seed)
@@ -100,6 +60,5 @@ class ReservoirSpec extends AnyFunSuite {
 
   test("negative sample sizes are rejected") {
     assertThrows[IllegalArgumentException](Reservoir.bottomN(0L until 10L, -1, 1))
-    assertThrows[IllegalArgumentException](Reservoir.algorithmR((1 to 3).iterator, -1, 1))
   }
 }

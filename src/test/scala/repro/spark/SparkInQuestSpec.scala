@@ -74,6 +74,57 @@ class SparkInQuestSpec extends SparkSpec {
     }
   }
 
+  /** Both engines on `d`: the same per-segment trace (boundaries, counts,
+    * raw allocations, cell sizes and sample counts) and the same
+    * estimates. The Catalyst side reads a shuffled DataFrame, so its keys
+    * arrive out of `idx` order.
+    */
+  private def assertSameTrace(d: StreamDataset, q: QueryConfig, seed: Long,
+                              params: InQuestParams = InQuestParams()): Unit = {
+    val local = new InQuest(params).runTraced(d, q, seed)
+    val df = SparkData.toDF(spark, d, partitions = 3)
+    val proc = new SparkInQuestProcessor(params, q, seed)
+    d.segments(q.segmentLength).foreach(seg =>
+      proc.processSegment(df.filter(col("idx") >= seg.start && col("idx") < seg.end)))
+    val cat = proc.trace
+    assert(cat.boundariesPerSegment.map(_.toSeq) == local.boundariesPerSegment.map(_.toSeq))
+    assert(cat.countsPerSegment.map(_.toSeq) == local.countsPerSegment.map(_.toSeq))
+    assert(cat.rawAllocations.map(_.length) == local.rawAllocations.map(_.length))
+    cat.rawAllocations.flatten.zip(local.rawAllocations.flatten).foreach { case (c, l) =>
+      assert(math.abs(c - l) < 1e-9, s"raw allocation mismatch: $c vs $l")
+    }
+    def shape(t: InQuest.Trace) = t.cells.map(_.map(c => (c.sizeD, c.nSampled, c.nPos)))
+    assert(shape(cat) == shape(local))
+    (cat.result.perSegment :+ cat.result.finalEstimate)
+      .zip(local.result.perSegment :+ local.result.finalEstimate).foreach { case (c, l) =>
+        assert(math.abs(c - l) < 1e-9, s"estimate mismatch: $c vs $l")
+      }
+    assert(cat.result.oracleCalls == local.result.oracleCalls)
+  }
+
+  test("a short final segment: same trace and estimates as the local engine") {
+    val q = query.copy(segmentLength = 1100)
+    assert(ds.segments(q.segmentLength).last.size == 500)
+    assertSameTrace(ds, q, 12)
+  }
+
+  test("a budget at or above the segment length: same trace, every record sampled") {
+    val small = StreamDataset("small", ds.proxy.take(1000), ds.statistic.take(1000), ds.predicate.take(1000))
+    Seq(200, 250).foreach { budget =>
+      val q = query.copy(segmentLength = 200, budgetPerSegment = budget)
+      assertSameTrace(small, q, 13)
+      assert(new InQuest().run(small, q, 13).oracleCalls == small.length)
+    }
+  }
+
+  test("constant proxies with K above the number of distinct proxies: same trace") {
+    val n = 3600
+    Seq[Int => Double](_ => 0.5, i => if (i % 3 == 0) 0.2 else 0.7).foreach { proxy =>
+      val d = StreamDataset("const", Array.tabulate(n)(proxy), ds.statistic.take(n), ds.predicate.take(n))
+      assertSameTrace(d, query, 14, InQuestParams(k = 4))
+    }
+  }
+
   private def records(n: Int, proxy: Int => Double = ds.proxy(_)): Seq[StreamRecord] =
     (0 until n).map(i => StreamRecord(i.toLong, proxy(i), ds.statistic(i), ds.predicate(i)))
 
