@@ -1,27 +1,49 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.streaming.StreamingQuery
-import repro.core.{InQuestParams, QueryConfig, RunResult}
+import repro.core._
+import repro.util.Rng
+import scala.collection.immutable.ArraySeq
 
-/** Structured Streaming driver for InQuest (the calibration hint's
-  * prescribed mapping): a `foreachBatch` sink where **one micro-batch is
-  * one tumbling segment**, delegating the segment step to
-  * [[SparkInQuestProcessor]] — cheap proxy scores drive the sampling
-  * decisions, the expensive oracle columns are read only on the selected
-  * rows, and the running query estimate is updated per micro-batch.
+/** One stream record as seen by the Catalyst engine. `statistic` and
+  * `predicate` travel with the row but the engine only *reads* them on
+  * sampled rows (the metered oracle invocation).
+  */
+final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predicate: Boolean)
+
+/** InQuest on Spark Structured Streaming (DESIGN.md §2): a `foreachBatch`
+  * sink where **one micro-batch is one tumbling segment**. It is the data
+  * plane of an [[InQuest.Session]], which holds the control plane both
+  * engines share. Every segment, the pilot included, is exactly two Spark
+  * actions:
   *
-  * The source must deliver whole segments per batch (the integration test
-  * feeds a `MemoryStream` one segment at a time; a production deployment
-  * would use a rate/Kafka source with a segment-sized trigger). Records
-  * inside a batch may arrive in any order and partitioning.
+  *   1. collect the segment's `(idx, proxy)` keys to the driver (16 B per
+  *      record): the cheap proxy is read for every record;
+  *   2. read `statistic`/`predicate` for the sampled `idx`s only (an
+  *      `isin` filter): the metered oracle invocation.
+  *
+  * Between the two, the session decides strata, counts and the sample on
+  * the driver, so both engines pick identical records. Each cell sums its
+  * observations in sampling order, ascending
+  * `(Rng.uniform(trialSeed, idx, tag), idx)`, where the local engine sums
+  * in `idx` order; on non-integer statistics the two engines may
+  * therefore differ in the last bits. Equivalence with the
+  * record-at-a-time [[repro.core.InQuest]] engine is asserted in
+  * `SparkInQuestSpec` and `StreamingInQuestSpec`.
+  *
+  * The source must deliver whole segments per batch (the tests feed a
+  * `MemoryStream` one segment at a time; a production deployment would use
+  * a rate/Kafka source with a segment-sized trigger). Records inside a
+  * batch may arrive in any order and partitioning.
   */
 final class StreamingInQuest(
     params: InQuestParams,
     query: QueryConfig,
     trialSeed: Long,
 ) {
-  private val processor = new SparkInQuestProcessor(params, query, trialSeed)
+  private val session = new InQuest.Session(params, query, trialSeed)
   @volatile private var latest: Option[Double] = None
 
   /** Start the continuous query over a streaming Dataset of
@@ -32,20 +54,57 @@ final class StreamingInQuest(
     stream.writeStream
       .outputMode("update")
       .foreachBatch { (batch: Dataset[StreamRecord], _: Long) =>
-        processBatch(batch.toDF())
+        processBatch(batch.toDF()): Unit
       }
       .start()
 
-  /** One micro-batch = one tumbling segment. Also callable directly from
-    * a user-managed `foreachBatch` closure. An empty batch changes nothing.
+  /** Process the next tumbling segment; `segment` must hold exactly that
+    * segment's records. Returns the segment's cells, or `None` (and no
+    * change of state) when `segment` holds no records. Also callable
+    * directly from a user-managed `foreachBatch` closure.
     */
-  def processBatch(segment: DataFrame): Unit = synchronized {
-    if (processor.processSegment(segment).isDefined)
-      latest = Some(processor.result.finalEstimate)
+  def processBatch(segment: DataFrame): Option[Seq[StratumStats]] = synchronized {
+    val (idx, proxy) = collectKeys(segment)
+    if (idx.isEmpty) None
+    else {
+      val cells = session.step(idx, proxy, invokeOracle(segment))
+      latest = Some(session.result.finalEstimate)
+      Some(cells)
+    }
   }
 
   /** The user-facing real-time query answer (paper Figure 3, step 6). */
   def latestEstimate: Option[Double] = latest
 
-  def result: RunResult = processor.result
+  def result: RunResult = session.result
+
+  def trace: InQuest.Trace = session.trace
+
+  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies are
+    * rejected, naming the smallest bad `idx`.
+    */
+  private def collectKeys(segment: DataFrame): (ArraySeq[Long], ArraySeq[Double]) = {
+    val rows = segment.select(col("idx"), col("proxy")).collect()
+    val idx = ArraySeq.unsafeWrapArray(rows.map(_.getLong(0)))
+    val proxy = ArraySeq.unsafeWrapArray(rows.map(_.getDouble(1)))
+    require(proxy.forall(java.lang.Double.isFinite), {
+      val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx)
+      s"non-finite proxy ${proxy(i)} at idx ${idx(i)}"
+    })
+    (idx, proxy)
+  }
+
+  /** Action 2: the oracle's `(statistic, predicate)` for the sampled
+    * records only, each cell in sampling order.
+    */
+  private def invokeOracle(segment: DataFrame)(cells: Seq[Seq[Long]], tag: Long): Seq[Seq[(Long, Double, Boolean)]] = {
+    val cols = col("idx") +: col("statistic") +: (if (query.usePredicate) Seq(col("predicate")) else Nil)
+    val obs = segment.filter(col("idx").isInCollection(cells.flatten)).select(cols: _*).collect()
+      .map(r => r.getLong(0) -> (r.getDouble(1), !query.usePredicate || r.getBoolean(2)))
+      .toMap
+    cells.map(_.sortBy(i => (Rng.uniform(trialSeed, i, tag), i)).map { i =>
+      val (f, o) = obs.getOrElse(i, throw new IllegalStateException(s"no oracle row for sampled idx $i"))
+      (i, f, o)
+    })
+  }
 }

@@ -1,9 +1,8 @@
 package repro.util
 
 /** Small statistics toolkit shared by the core algorithm, the baselines and
-  * the evaluation harness. Pure functions over in-memory sequences; the
-  * Catalyst engine re-expresses the same quantities as DataFrame aggregates
-  * and is tested for equality against these.
+  * the evaluation harness. Pure functions over in-memory sequences; both
+  * engines run them on the driver.
   */
 object Stats {
 

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.data.StreamGen
-import repro.spark.SparkData
+import repro.testkit.SparkData
 
 class TypesSpec extends SparkSpec {
 

@@ -2,17 +2,19 @@ package repro.spark
 
 import java.util.concurrent.ConcurrentLinkedQueue
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, lit, udf}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
 import repro.SparkSpec
 import repro.core._
 import repro.data.StreamGen
+import repro.testkit.SparkData
 import scala.jdk.CollectionConverters._
 
-/** The Catalyst micro-batch engine must match the record-at-a-time local
-  * engine bit-for-bit (same hash-based sampling, same quantile
-  * definition) — DESIGN.md §6.
+/** The Catalyst engine, stepped one `processBatch` per segment, must make
+  * the record-at-a-time local engine's decisions and match its estimates
+  * (same hash-based sampling, same quantile definition) — DESIGN.md §6.
   */
 class SparkInQuestSpec extends SparkSpec {
 
@@ -20,73 +22,27 @@ class SparkInQuestSpec extends SparkSpec {
   private val query = QueryConfig(AggFunc.Avg, usePredicate = true,
     segmentLength = 1200, budgetPerSegment = 60)
 
-  test("Spark engine equals the local engine exactly (predicate query)") {
-    val seed = 5L
-    val local = new InQuest().runTraced(ds, query, seed)
-    val sparkR = SparkInQuest.run(SparkData.toDF(spark, ds), query, seed)
-    assert(sparkR.perSegment.length == local.result.perSegment.length)
-    sparkR.perSegment.zip(local.result.perSegment).foreach { case (s, l) =>
-      assert(math.abs(s - l) < 1e-9, s"segment estimate mismatch: $s vs $l")
-    }
-    assert(math.abs(sparkR.finalEstimate - local.result.finalEstimate) < 1e-9)
-    assert(sparkR.oracleCalls == local.result.oracleCalls)
-  }
-
-  test("Spark engine equals the local engine exactly (no predicate)") {
-    val q = query.copy(usePredicate = false)
-    val local = new InQuest().run(ds, q, 9)
-    val sparkR = SparkInQuest.run(SparkData.toDF(spark, ds), q, 9)
-    sparkR.perSegment.zip(local.perSegment).foreach { case (s, l) =>
-      assert(math.abs(s - l) < 1e-9)
-    }
-  }
-
-  test("equivalence holds across trial seeds") {
-    Seq(1L, 2L, 3L).foreach { seed =>
-      val local = new InQuest().run(ds, query, seed)
-      val sparkR = SparkInQuest.run(SparkData.toDF(spark, ds), query, seed)
-      assert(math.abs(sparkR.finalEstimate - local.finalEstimate) < 1e-9,
-        s"seed $seed: ${sparkR.finalEstimate} vs ${local.finalEstimate}")
-    }
-  }
-
-  test("equivalence is partitioning-invariant (shuffle path exercised)") {
-    val seed = 4L
-    val local = new InQuest().run(ds, query, seed)
-    val sparkR = SparkInQuest.run(SparkData.toDF(spark, ds, partitions = 13), query, seed)
-    sparkR.perSegment.zip(local.perSegment).foreach { case (s, l) =>
-      assert(math.abs(s - l) < 1e-9)
-    }
-  }
-
-  test("per-segment oracle budget is enforced in the Spark engine") {
-    val r = SparkInQuest.run(SparkData.toDF(spark, ds), query, 6)
-    assert(r.oracleCalls <= 5L * query.budgetPerSegment)
-  }
-
-  test("non-default hyperparameters stay equivalent") {
-    val params = InQuestParams(k = 4, alpha = 0.5, defensiveFraction = 0.2)
-    val seed = 7L
-    val local = new InQuest(params).run(ds, query, seed)
-    val sparkR = SparkInQuest.run(SparkData.toDF(spark, ds), query, seed, params)
-    sparkR.perSegment.zip(local.perSegment).foreach { case (s, l) =>
-      assert(math.abs(s - l) < 1e-9)
-    }
+  /** The Catalyst engine stepped over `df`, one `processBatch` per
+    * segment of `d`.
+    */
+  private def catalyst(d: StreamDataset, df: DataFrame, q: QueryConfig, seed: Long,
+                       params: InQuestParams = InQuestParams()): StreamingInQuest = {
+    val engine = new StreamingInQuest(params, q, seed)
+    d.segments(q.segmentLength).foreach(seg =>
+      engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end)))
+    engine
   }
 
   /** Both engines on `d`: the same per-segment trace (boundaries, counts,
     * raw allocations, cell sizes and sample counts) and the same
-    * estimates. The Catalyst side reads a shuffled DataFrame, so its keys
-    * arrive out of `idx` order.
+    * estimates, within the per-segment budget. The Catalyst side reads a
+    * DataFrame shuffled into `partitions`, so its keys arrive out of `idx`
+    * order.
     */
   private def assertSameTrace(d: StreamDataset, q: QueryConfig, seed: Long,
-                              params: InQuestParams = InQuestParams()): Unit = {
+                              params: InQuestParams = InQuestParams(), partitions: Int = 3): Unit = {
     val local = new InQuest(params).runTraced(d, q, seed)
-    val df = SparkData.toDF(spark, d, partitions = 3)
-    val proc = new SparkInQuestProcessor(params, q, seed)
-    d.segments(q.segmentLength).foreach(seg =>
-      proc.processSegment(df.filter(col("idx") >= seg.start && col("idx") < seg.end)))
-    val cat = proc.trace
+    val cat = catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params).trace
     assert(cat.boundariesPerSegment.map(_.toSeq) == local.boundariesPerSegment.map(_.toSeq))
     assert(cat.countsPerSegment.map(_.toSeq) == local.countsPerSegment.map(_.toSeq))
     assert(cat.rawAllocations.map(_.length) == local.rawAllocations.map(_.length))
@@ -100,6 +56,31 @@ class SparkInQuestSpec extends SparkSpec {
         assert(math.abs(c - l) < 1e-9, s"estimate mismatch: $c vs $l")
       }
     assert(cat.result.oracleCalls == local.result.oracleCalls)
+    assert(cat.result.oracleCalls <= d.segments(q.segmentLength).size.toLong * q.budgetPerSegment)
+  }
+
+  test("Spark engine equals the local engine exactly (predicate query)") {
+    assertSameTrace(ds, query, 5)
+  }
+
+  test("Spark engine equals the local engine exactly (no predicate)") {
+    assertSameTrace(ds, query.copy(usePredicate = false), 9)
+  }
+
+  test("equivalence holds across trial seeds") {
+    Seq(1L, 2L, 3L).foreach(assertSameTrace(ds, query, _))
+  }
+
+  test("equivalence is partitioning-invariant (shuffle path exercised)") {
+    assertSameTrace(ds, query, 4, partitions = 13)
+  }
+
+  test("per-segment oracle budget is enforced in the Spark engine") {
+    assertSameTrace(ds, query, 6)
+  }
+
+  test("non-default hyperparameters stay equivalent") {
+    assertSameTrace(ds, query, 7, InQuestParams(k = 4, alpha = 0.5, defensiveFraction = 0.2))
   }
 
   test("a short final segment: same trace and estimates as the local engine") {
@@ -157,20 +138,20 @@ class SparkInQuestSpec extends SparkSpec {
     // An RDD-backed input, so that every action runs a job: filters over a
     // local relation would be evaluated on the driver without one.
     val df = spark.createDataFrame(spark.sparkContext.parallelize(records(2 * query.segmentLength), 4))
-    val proc = new SparkInQuestProcessor(InQuestParams(), query, 3L)
+    val engine = new StreamingInQuest(InQuestParams(), query, 3L)
     Seq("pilot", "post-pilot").zipWithIndex.foreach { case (name, t) =>
       val seg = df.filter(col("idx") >= t * query.segmentLength && col("idx") < (t + 1) * query.segmentLength)
-      val jobs = jobsStartedBy(proc.processSegment(seg))
+      val jobs = jobsStartedBy(engine.processBatch(seg))
       assert(jobs >= 1 && jobs <= 2, s"the $name segment started $jobs Spark jobs")
     }
-    assert(proc.result.perSegment.length == 2)
+    assert(engine.result.perSegment.length == 2)
   }
 
   test("the oracle columns are read on sampled rows only") {
     val reads = spark.sparkContext.longAccumulator("oracle reads")
     val oracle = udf { (f: Double) => reads.add(1); f }
     val df = SparkData.toDF(spark, ds, partitions = 4).withColumn("statistic", oracle(col("statistic")))
-    val r = SparkInQuest.run(df, query, 11)
+    val r = catalyst(ds, df, query, 11).result
     assert(r.oracleCalls == new InQuest().run(ds, query, 11).oracleCalls)
     assert(reads.value == r.oracleCalls)
   }
@@ -178,22 +159,22 @@ class SparkInQuestSpec extends SparkSpec {
   test("non-finite proxies fail the segment, naming the smallest bad idx") {
     Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).foreach { bad =>
       val recs = records(query.segmentLength, i => if (i == 700 || i == 900) bad else ds.proxy(i))
-      val proc = new SparkInQuestProcessor(InQuestParams(), query, 1L)
+      val engine = new StreamingInQuest(InQuestParams(), query, 1L)
       val e = intercept[IllegalArgumentException](
-        proc.processSegment(spark.createDataFrame(recs).repartition(3)))
+        engine.processBatch(spark.createDataFrame(recs).repartition(3)))
       assert(e.getMessage.contains(s"non-finite proxy $bad at idx 700"), e.getMessage)
-      assert(proc.result.perSegment.isEmpty)
+      assert(engine.result.perSegment.isEmpty)
     }
   }
 
   test("an empty segment changes nothing") {
     val df = SparkData.toDF(spark, ds)
-    val proc = new SparkInQuestProcessor(InQuestParams(), query, 2L)
-    assert(proc.processSegment(df.filter(lit(false))).isEmpty)
-    assert(proc.result.perSegment.isEmpty && proc.result.oracleCalls == 0)
-    assert(proc.processSegment(df.filter(col("idx") < query.segmentLength)).isDefined)
+    val engine = new StreamingInQuest(InQuestParams(), query, 2L)
+    assert(engine.processBatch(df.filter(lit(false))).isEmpty)
+    assert(engine.result.perSegment.isEmpty && engine.result.oracleCalls == 0)
+    assert(engine.processBatch(df.filter(col("idx") < query.segmentLength)).isDefined)
     val local = new InQuest().run(StreamDataset("p", ds.proxy.take(query.segmentLength),
       ds.statistic.take(query.segmentLength), ds.predicate.take(query.segmentLength)), query, 2L)
-    assert(proc.result.perSegment.toSeq == local.perSegment.toSeq)
+    assert(engine.result.perSegment.toSeq == local.perSegment.toSeq)
   }
 }

@@ -6,8 +6,7 @@ import repro.core._
 import repro.data.StreamGen
 
 /** Structured Streaming integration: a MemoryStream source fed one
-  * tumbling segment per micro-batch must reproduce the batch engine (and
-  * therefore the local engine) exactly.
+  * tumbling segment per micro-batch must reproduce the local engine.
   */
 class StreamingInQuestSpec extends SparkSpec {
 
