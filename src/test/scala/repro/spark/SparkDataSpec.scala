@@ -1,7 +1,8 @@
-package repro.testkit
+package repro.spark
 
 import repro.SparkSpec
 import repro.data.StreamGen
+import repro.testkit.SparkData
 
 class SparkDataSpec extends SparkSpec {
 
