@@ -3,6 +3,7 @@ package repro.abae
 import repro.core._
 import repro.sampling.Reservoir
 import repro.util.Stats
+import scala.collection.immutable.ArraySeq
 
 /** ABae [Kang et al., PVLDB 2021] — the batch-setting comparator (§5.1).
   *
@@ -31,71 +32,74 @@ final class ABae(
     s"pilot fraction must be in (0,1), got $pilotFraction")
   override def name: String = "abae"
 
-  override def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult = {
-    val segs = ds.segments(query.segmentLength)
-    val totalBudget = math.min(ds.length, query.budgetPerSegment * segs.size)
-    // Batch algorithm: the budget is global, not per-segment.
-    val oracle = new OracleModel(ds, query.segmentLength, None)
-
+  /** The plan: the global strata, in ascending `idx` order, and
+    * |D_tk| per segment. Each trial draws the two stages on them.
+    */
+  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
+    val nSegments = ds.segments(query.segmentLength).size
+    val totalBudget = math.min(ds.length, query.budgetPerSegment * nSegments)
     val (idx, proxy) = ds.keys(0 until ds.length)
-    val boundaries = Stats.quantileBoundaries(proxy, k)
-    val strataIdxs = Stratification.split(idx, proxy, boundaries)
-
-    def observe(idxs: Seq[Long]): Vector[(Long, Double, Boolean)] =
-      idxs.iterator.map { i =>
-        val (f, o) = oracle.invoke(i.toInt)
-        (i, f, if (query.usePredicate) o else true)
-      }.toVector
-
-    // Stage 1: pilot, uniform per stratum.
+    val strata = Stratification.split(idx, proxy, Stats.quantileBoundaries(ArraySeq.unsafeWrapArray(proxy), k))
+    val sizes = strata.map(_.length.toLong)
+    val sizeDtk = Array.ofDim[Long](nSegments, k)
+    for (s <- 0 until k; i <- strata(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
     val pilotBudget = math.max(k, math.round(totalBudget * pilotFraction).toInt)
     val pilotPer = Stats.largestRemainder(Array.fill(k)(1.0), pilotBudget)
-    val pilotSamples = (0 until k).map { s =>
-      observe(Reservoir.bottomN(strataIdxs(s), pilotPer(s), trialSeed, tag = ABae.PilotTag))
-    }
 
-    // Stage 2: allocate the rest by the estimated optimal allocation.
-    val pilotStats = (0 until k).map { s =>
-      StratumStats.fromSamples(strataIdxs(s).size.toLong,
-        pilotSamples(s).map { case (_, f, o) => (f, o) })
-    }
-    val alloc = Allocation.optimal(
-      strataIdxs.map(_.size.toLong),
-      pilotStats.map(_.pHat).toArray,
-      pilotStats.map(_.stdHat).toArray)
-    val stage2Counts = Stats.largestRemainder(alloc, totalBudget - pilotSamples.map(_.size).sum)
-    val stage2Samples = (0 until k).map { s =>
-      val already = pilotSamples(s).map(_._1).toSet
-      val remaining = strataIdxs(s).filterNot(already)
-      observe(Reservoir.bottomN(remaining, stage2Counts(s), trialSeed, tag = ABae.Stage2Tag))
-    }
+    trialSeed => {
+      // Batch algorithm: the budget is global, not per-segment.
+      val oracle = new OracleModel(ds, query.segmentLength, None)
+      def observe(idxs: Array[Long]): Vector[(Long, Double, Boolean)] =
+        idxs.iterator.map { i =>
+          val (f, o) = oracle.invoke(i.toInt)
+          (i, f, if (query.usePredicate) o else true)
+        }.toVector
+      def cell(sizeD: Long, obs: Seq[(Long, Double, Boolean)]): StratumStats =
+        StratumStats.fromSamples(sizeD, obs.map { case (_, f, o) => (f, o) })
 
-    // Sample reuse: pool pilot and stage-2 samples per stratum.
-    val pooled = (0 until k).map(s => pilotSamples(s) ++ stage2Samples(s))
-    val finalCells = (0 until k).map { s =>
-      StratumStats.fromSamples(strataIdxs(s).size.toLong,
-        pooled(s).map { case (_, f, o) => (f, o) })
-    }
+      // Stage 1: pilot, uniform per stratum.
+      val pilot = (0 until k).map(s => Reservoir.bottomN(strata(s), pilotPer(s), trialSeed, ABae.PilotTag))
+      val pilotSamples = pilot.map(observe)
 
-    // Per-segment estimates "by selecting the subset of ABae's oracle
-    // samples within each segment" (paper §5.2). The paper does not pin
-    // down the weights; we use per-segment ŵ_tk ∝ |D_tk|·p̂_tk (ABae sees
-    // every proxy score, so |D_tk| is available), the strongest reading.
-    val sizeDtk = Array.ofDim[Long](segs.size, k)
-    for (s <- 0 until k; i <- strataIdxs(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
-    val perSegment = segs.zipWithIndex.map { case (seg, t) =>
-      val cells = (0 until k).map { s =>
-        val inSeg = pooled(s).filter { case (i, _, _) => seg.contains(i.toInt) }
-        StratumStats.fromSamples(sizeDtk(t)(s), inSeg.map { case (_, f, o) => (f, o) })
+      // Stage 2: allocate the rest by the estimated optimal allocation.
+      val pilotStats = (0 until k).map(s => cell(sizes(s), pilotSamples(s)))
+      val alloc = Allocation.optimal(sizes, pilotStats.map(_.pHat).toArray, pilotStats.map(_.stdHat).toArray)
+      val stage2Counts = Stats.largestRemainder(alloc, totalBudget - pilotSamples.map(_.size).sum)
+      val stage2Samples = (0 until k).map { s =>
+        observe(Reservoir.bottomN(ABae.without(strata(s), pilot(s)), stage2Counts(s), trialSeed, ABae.Stage2Tag))
       }
-      Estimator.segmentEstimate(cells, query.agg)
-    }.toArray
 
-    RunResult(perSegment, Estimator.estimate(finalCells, query.agg), oracle.totalCalls)
+      // Sample reuse: pool pilot and stage-2 samples per stratum.
+      val pooled = (0 until k).map(s => pilotSamples(s) ++ stage2Samples(s))
+      val finalCells = (0 until k).map(s => cell(sizes(s), pooled(s)))
+
+      // Per-segment estimates "by selecting the subset of ABae's oracle
+      // samples within each segment" (paper §5.2). The paper does not pin
+      // down the weights; we use per-segment ŵ_tk ∝ |D_tk|·p̂_tk (ABae sees
+      // every proxy score, so |D_tk| is available), the strongest reading.
+      val bySegment = pooled.map(_.groupBy(_._1.toInt / query.segmentLength))
+      val perSegment = Array.tabulate(nSegments) { t =>
+        Estimator.segmentEstimate((0 until k).map(s => cell(sizeDtk(t)(s), bySegment(s).getOrElse(t, Nil))), query.agg)
+      }
+
+      RunResult(perSegment, Estimator.estimate(finalCells, query.agg), oracle.totalCalls)
+    }
   }
 }
 
 object ABae {
   val PilotTag: Long = 0xABAE_001L
   val Stage2Tag: Long = 0xABAE_002L
+
+  /** `sorted` less the records of `drop`; both ascending, `drop` a subset. */
+  private def without(sorted: Array[Long], drop: Array[Long]): Array[Long] = {
+    val out = new Array[Long](sorted.length - drop.length)
+    var i = 0; var j = 0
+    while (i < sorted.length) {
+      if (j < drop.length && drop(j) == sorted(i)) j += 1
+      else out(i - j) = sorted(i)
+      i += 1
+    }
+    out
+  }
 }

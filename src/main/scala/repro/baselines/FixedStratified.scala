@@ -3,6 +3,7 @@ package repro.baselines
 import repro.core._
 import repro.sampling.Reservoir
 import repro.util.Stats
+import scala.collection.immutable.ArraySeq
 
 /** Stratified-sampling streaming baseline with fixed strata and fixed
   * allocations (paper §5.1).
@@ -21,29 +22,37 @@ final class FixedStratified(k: Int = 3) extends StreamAlgorithm {
   /** Interior boundaries of K equal-width strata on the proxy range [0,1]. */
   private val boundaries: Array[Double] = Array.tabulate(k - 1)(j => (j + 1).toDouble / k)
 
-  override def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult = {
-    val segs = ds.segments(query.segmentLength)
-    val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
+  /** The plan: each segment's strata and their capped counts. Proxies
+    * outside [0, 1] have no fixed stratum and are rejected.
+    */
+  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
+    val bad = ds.proxy.indexWhere(p => p < 0 || p > 1)
+    require(bad < 0, s"fixed strata need proxies in [0, 1]: proxy ${ds.proxy(bad)} at idx $bad")
     val perStratum = Stats.largestRemainder(Array.fill(k)(1.0), query.budgetPerSegment)
-
-    val cellsPerSegment = segs.zipWithIndex.map { case (seg, t) =>
-      val strataIdxs = Stratification.split(ds, seg, boundaries)
+    val plans = ds.segments(query.segmentLength).map { seg =>
+      val (idx, proxy) = ds.keys(seg)
+      val strata = Stratification.split(idx, proxy, boundaries)
       // Fixed equal-width strata can be sparsely populated; cap at the
       // population and spill the surplus so the budget is not wasted.
-      val counts = Allocation.capToSizes(perStratum, strataIdxs.map(_.size.toLong))
-      (0 until k).map { s =>
-        val sampled = Reservoir.bottomN(strataIdxs(s), counts(s), trialSeed,
-          tag = FixedStratified.SampleTag + t)
-        val obs = sampled.map { i =>
-          val (f, o) = oracle.invoke(i.toInt)
-          (f, if (query.usePredicate) o else true)
-        }
-        StratumStats.fromSamples(strataIdxs(s).size.toLong, obs)
-      }
+      (strata, Allocation.capToSizes(perStratum, strata.map(_.length.toLong)))
     }
 
-    val perSegment = cellsPerSegment.map(cs => Estimator.segmentEstimate(cs, query.agg)).toArray
-    RunResult(perSegment, Estimator.cumulativeEstimate(cellsPerSegment, query.agg), oracle.totalCalls)
+    trialSeed => {
+      val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
+      val cellsPerSegment = plans.zipWithIndex.map { case ((strata, counts), t) =>
+        (0 until k).map { s =>
+          val sampled = Reservoir.bottomN(strata(s), counts(s), trialSeed, FixedStratified.SampleTag + t)
+          val obs = ArraySeq.unsafeWrapArray(sampled).map { i =>
+            val (f, o) = oracle.invoke(i.toInt)
+            (f, if (query.usePredicate) o else true)
+          }
+          StratumStats.fromSamples(strata(s).length.toLong, obs)
+        }
+      }
+
+      val perSegment = cellsPerSegment.map(cs => Estimator.segmentEstimate(cs, query.agg)).toArray
+      RunResult(perSegment, Estimator.cumulativeEstimate(cellsPerSegment, query.agg), oracle.totalCalls)
+    }
   }
 }
 

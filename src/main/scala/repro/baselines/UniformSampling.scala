@@ -2,6 +2,7 @@ package repro.baselines
 
 import repro.core._
 import repro.sampling.Reservoir
+import scala.collection.immutable.ArraySeq
 
 /** Uniform-sampling streaming baseline (paper §5.1).
   *
@@ -13,16 +14,18 @@ import repro.sampling.Reservoir
 final class UniformSampling extends StreamAlgorithm {
   override def name: String = "uniform"
 
-  override def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult = {
+  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = trialSeed => {
     val segs = ds.segments(query.segmentLength)
     val totalBudget = math.min(ds.length, query.budgetPerSegment * segs.size)
     // No per-segment limit: the draw is uniform over the duration, so some
     // segments legitimately receive more than N samples (the total is N·T).
     val oracle = new OracleModel(ds, query.segmentLength, None)
 
-    val sampled = Reservoir.bottomN((0L until ds.length.toLong), totalBudget,
-      trialSeed, tag = UniformSampling.SampleTag)
-    val obs = sampled.map { i =>
+    val all = new Array[Long](ds.length)
+    var j = 0
+    while (j < all.length) { all(j) = j; j += 1 }
+    val sampled = Reservoir.bottomN(all, totalBudget, trialSeed, UniformSampling.SampleTag)
+    val obs = ArraySeq.unsafeWrapArray(sampled).map { i =>
       val (f, o) = oracle.invoke(i.toInt)
       (i, f, if (query.usePredicate) o else true)
     }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.sampling.Reservoir
-import scala.collection.mutable
+import scala.collection.immutable.ArraySeq
 
 /** InQuest hyperparameters (paper §3.2 "Setting parameters" defaults). */
 final case class InQuestParams(
@@ -16,32 +16,42 @@ final case class InQuestParams(
 }
 
 /** The InQuest algorithm (paper Algorithms 1–2), record-at-a-time engine:
-  * an [[InQuest.Session]] stepped over the stream's segments, with the
-  * metered [[OracleModel]] as its oracle.
+  * the stream's [[InQuest.SegmentPlan]]s, built once by an
+  * [[InQuest.Planner]], and per trial an [[InQuest.Session]] stepped over
+  * them with the metered [[OracleModel]] as its oracle.
   */
 final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgorithm {
   override def name: String = "inquest"
 
-  /** Full run; also exposes internals for the lesion study and theory
-    * tests via the returned [[InQuest.Trace]].
+  /** [[prepare]], with the internals for the lesion study and theory
+    * tests: each trial returns its [[InQuest.Trace]].
     */
-  def runTraced(ds: StreamDataset, query: QueryConfig, trialSeed: Long): InQuest.Trace = {
-    val session = new InQuest.Session(params, query, trialSeed)
-    val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
-    // Each cell in ascending idx order, as `bottomN` returns it.
-    val observe: InQuest.Oracle = (cells, _) => cells.map(_.map { i =>
-      val (f, o) = oracle.invoke(i.toInt)
-      (i, f, o)
-    })
-    ds.segments(query.segmentLength).foreach { seg =>
+  def prepareTraced(ds: StreamDataset, query: QueryConfig): Long => InQuest.Trace = {
+    val planner = new InQuest.Planner(params)
+    val plans = ds.segments(query.segmentLength).map { seg =>
       val (idx, proxy) = ds.keys(seg)
-      session.step(idx, proxy, observe)
+      planner.add(idx, proxy)
     }
-    session.trace
+    trialSeed => {
+      val session = new InQuest.Session(params, query, trialSeed)
+      val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
+      // Each cell in ascending idx order, as `bottomN` returns it.
+      val observe: InQuest.Oracle = (cells, _) => cells.map(_.map { i =>
+        val (f, o) = oracle.invoke(i.toInt)
+        (i, f, o)
+      })
+      plans.foreach(session.step(_, observe))
+      session.trace
+    }
   }
 
-  override def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult =
-    runTraced(ds, query, trialSeed).result
+  def runTraced(ds: StreamDataset, query: QueryConfig, trialSeed: Long): InQuest.Trace =
+    prepareTraced(ds, query)(trialSeed)
+
+  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
+    val traced = prepareTraced(ds, query)
+    trialSeed => traced(trialSeed).result
+  }
 }
 
 object InQuest {
@@ -64,22 +74,70 @@ object InQuest {
       rawAllocations: Seq[Array[Double]],
   )
 
-  /** The InQuest control plane for one trial, shared by the local and the
-    * Catalyst engine, which differ only in how they read a segment's keys
-    * and invoke the oracle.
+  /** The trial-invariant half of segment `t`: its strata, which depend on
+    * the proxies alone. `strata(k)` holds stratum k's record indices.
+    *
+    * For the pilot (`t` = 0), `boundaries` are the segment's own quantiles
+    * S_1 and each stratum is in ascending order, so the stratum of a
+    * sampled record is a binary search. For every later segment they are
+    * the smoothed Ŝ_t, and each stratum keeps the order of the keys.
+    */
+  final case class SegmentPlan(t: Int, boundaries: Array[Double], strata: Array[Array[Long]]) {
+    def sizes: Array[Long] = strata.map(_.length.toLong)
+
+    /** Stratum of pilot record `i`. */
+    def stratumOf(i: Long): Int = strata.indexWhere(java.util.Arrays.binarySearch(_, i) >= 0)
+  }
+
+  /** The data-only half of the InQuest control plane: GetStrata and
+    * SplitStream, fed the stream's segments in order, one [[SegmentPlan]]
+    * per segment. It holds the strata history S_1 … S_t. The local engine
+    * adds every segment once per call and shares the plans across trials;
+    * the Catalyst engine adds one segment per micro-batch.
+    */
+  final class Planner(params: InQuestParams) {
+    private var strataHistory = Vector.empty[Array[Double]]
+
+    /** Plan the next segment, given as parallel `(idx, proxy)` keys of its
+      * records in any order.
+      */
+    def add(idx: Array[Long], proxy: Array[Double]): SegmentPlan = {
+      require(idx.nonEmpty && idx.length == proxy.length,
+        s"a segment needs parallel, non-empty keys: ${idx.length}/${proxy.length}")
+      val t = strataHistory.size
+      val ownStrata = Stratification.quantileStrata(ArraySeq.unsafeWrapArray(proxy), params.k)
+      val plan =
+        if (t == 0) {
+          val strata = Stratification.split(idx, proxy, ownStrata)
+          strata.foreach(java.util.Arrays.sort(_))
+          SegmentPlan(t, ownStrata, strata)
+        } else {
+          val b = Stratification.smooth(strataHistory, params.alpha)
+          SegmentPlan(t, b, Stratification.split(idx, proxy, b))
+        }
+      strataHistory :+= ownStrata
+      plan
+    }
+  }
+
+  /** The per-trial half of the InQuest control plane, shared by the local
+    * and the Catalyst engine, which differ only in how they read a
+    * segment's keys and invoke the oracle. It steps over the
+    * [[SegmentPlan]]s of one [[Planner]], in order.
     *
     * Segment 1 is the pilot: N uniform samples, contributed to the estimate
     * as a single stratum; its samples, bucketed by segment 1's own proxy
     * quantiles, seed the allocation history (DESIGN.md §6, "Pilot
     * segment"). Every later segment t:
     *
-    *   1. GetStrata — quantile boundaries of segment t−1's proxies, smoothed
-    *      by the history EWMA;
+    *   1. GetStrata and SplitStream — the plan's strata under Ŝ_t, the
+    *      quantile boundaries of the earlier segments' proxies smoothed by
+    *      the history EWMA;
     *   2. GetAlloc — raw optimal allocation from segment t−1's per-stratum
     *      samples, smoothed by the history EWMA, plus the N1/K defensive
     *      floor, capped at the stratum sizes;
-    *   3. SplitStream + reservoir-draw the per-stratum budgets and invoke
-    *      the oracle on exactly the sampled records;
+    *   3. reservoir-draw the per-stratum budgets and invoke the oracle on
+    *      exactly the sampled records;
     *   4. GetPrediction — per-segment and cumulative estimates.
     *
     * The sample is a pure function of `trialSeed` and the record indices
@@ -88,7 +146,6 @@ object InQuest {
   final class Session(params: InQuestParams, query: QueryConfig, trialSeed: Long) {
     private val n = query.budgetPerSegment
     private val (n1, n2) = Allocation.splitBudget(n, params.defensiveFraction)
-    private var strataHistory = Vector.empty[Array[Double]]
     private var allocHistory = Vector.empty[Array[Double]]
     private var cells = Vector.empty[Seq[StratumStats]]
     private var boundaries = Vector.empty[Array[Double]]
@@ -97,47 +154,37 @@ object InQuest {
     private def cell(sizeD: Long, obs: Seq[(Long, Double, Boolean)]): StratumStats =
       StratumStats.fromSamples(sizeD, obs.map { case (_, f, o) => (f, o || !query.usePredicate) })
 
-    /** Process the next segment, given as parallel `(idx, proxy)` keys of
-      * its records in any order; `oracle` is called once. Returns the
-      * segment's cells.
+    /** Process the next segment from its plan; `oracle` is called once.
+      * Returns the segment's cells.
       */
-    def step(idx: IndexedSeq[Long], proxy: IndexedSeq[Double], oracle: Oracle): Seq[StratumStats] = {
-      require(idx.nonEmpty && idx.length == proxy.length,
-        s"a segment needs parallel, non-empty keys: ${idx.length}/${proxy.length}")
+    def step(plan: SegmentPlan, oracle: Oracle): Seq[StratumStats] = {
       val t = cells.size
-      val ownStrata = Stratification.quantileStrata(proxy, params.k)
-      val (segCells, allocCells, plan) =
+      require(plan.t == t, s"plan of segment ${plan.t} given for segment $t")
+      val sizes = plan.sizes
+      val (segCells, allocCells, drawn) =
         if (t == 0) {
           // Pilot: N uniform samples over the whole segment, one stratum.
           // Bucketed by the segment's own strata S_1, keeping the order
           // the data plane sums them in, they seed a_1.
-          val sample = Reservoir.bottomN(idx, math.min(n, idx.length), trialSeed, SampleTag)
-          val obs = oracle(Seq(sample), SampleTag).head
-          val stratumOf = mutable.LongMap.from(sample.map(_ -> 0))
-          val sizes = new Array[Long](params.k)
-          idx.indices.foreach { i =>
-            val k = Stratification.assign(proxy(i), ownStrata)
-            sizes(k) += 1
-            if (stratumOf.contains(idx(i))) stratumOf(idx(i)) = k
-          }
-          val seeded = sizes.indices.map(k => cell(sizes(k), obs.filter(o => stratumOf(o._1) == k)))
-          (Seq(cell(idx.length, obs)), seeded, None)
+          val all = plan.strata.flatten
+          val sample = Reservoir.bottomN(all, math.min(n, all.length), trialSeed, SampleTag)
+          val obs = oracle(Seq(ArraySeq.unsafeWrapArray(sample)), SampleTag).head
+          val byStratum = obs.groupBy(o => plan.stratumOf(o._1))
+          val seeded = sizes.indices.map(k => cell(sizes(k), byStratum.getOrElse(k, Nil)))
+          (Seq(cell(all.length, obs)), seeded, None)
         } else {
-          val b = Stratification.smooth(strataHistory, params.alpha)
           val aHat = Allocation.smooth(allocHistory, params.alpha)
-          val byStratum = Stratification.split(idx, proxy, b)
-          val c = Allocation.capToSizes(
-            Allocation.sampleCounts(aHat, n1, n2), byStratum.map(_.size.toLong))
+          val c = Allocation.capToSizes(Allocation.sampleCounts(aHat, n1, n2), sizes)
           val tag = SampleTag + t + 1
-          val obs = oracle(byStratum.indices.map(k => Reservoir.bottomN(byStratum(k), c(k), trialSeed, tag)), tag)
-          val segCells = byStratum.indices.map(k => cell(byStratum(k).size, obs(k)))
-          (segCells, segCells, Some((b, c)))
+          val obs = oracle(plan.strata.indices.map(k =>
+            ArraySeq.unsafeWrapArray(Reservoir.bottomN(plan.strata(k), c(k), trialSeed, tag))), tag)
+          val segCells = sizes.indices.map(k => cell(sizes(k), obs(k)))
+          (segCells, segCells, Some(c))
         }
 
       val segCalls = segCells.map(_.nSampled.toLong).sum
       require(segCalls <= n, s"oracle budget exceeded in segment $t: $segCalls > $n")
-      plan.foreach { case (b, c) => boundaries :+= b; counts :+= c }
-      strataHistory :+= ownStrata
+      drawn.foreach { c => boundaries :+= plan.boundaries; counts :+= c }
       allocHistory :+= Allocation.rawAllocation(allocCells)
       cells :+= segCells
       segCells

@@ -23,7 +23,7 @@ final class OracleModel(
 
   private val nSegments = (statistic.length + segmentLength - 1) / segmentLength
   private val callsPerSegment = new Array[Long](math.max(1, nSegments))
-  private val seen = new java.util.HashSet[Integer]()
+  private val seen = new java.util.BitSet(statistic.length)
 
   def this(ds: StreamDataset, segmentLength: Int, limitPerSegment: Option[Int]) =
     this(ds.statistic, ds.predicate, segmentLength, limitPerSegment)
@@ -31,7 +31,8 @@ final class OracleModel(
   /** Run the oracle on record `idx`, returning (f(x), O(x)). */
   def invoke(idx: Int): (Double, Boolean) = {
     require(idx >= 0 && idx < statistic.length, s"record index $idx out of range")
-    if (seen.add(idx)) {
+    if (!seen.get(idx)) {
+      seen.set(idx)
       val seg = idx / segmentLength
       callsPerSegment(seg) += 1
       limitPerSegment.foreach { lim =>

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.util.Stats
+import scala.collection.immutable.ArraySeq
 
 /** GetStrata (Algorithm 2): proxy-quantile stratification smoothed by an
   * EWMA over the segment history.
@@ -28,17 +29,27 @@ object Stratification {
     * record indices per stratum, in the order of `idx`. `idx` and `proxy`
     * are parallel.
     */
-  def split(idx: IndexedSeq[Long], proxy: IndexedSeq[Double], boundaries: Array[Double]): Array[Vector[Long]] =
+  def split(idx: Array[Long], proxy: Array[Double], boundaries: Array[Double]): Array[Array[Long]] =
     splitBy(idx.length, idx(_), proxy(_), boundaries)
 
   /** [[split]] over the records of `segment` of `ds`, without copying them. */
-  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[Vector[Long]] =
+  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[ArraySeq[Long]] =
     splitBy(segment.length, segment(_).toLong, i => ds.proxy(segment(i)), boundaries)
+      .map(ArraySeq.unsafeWrapArray(_))
 
-  private def splitBy(n: Int, idx: Int => Long, proxy: Int => Double, boundaries: Array[Double]): Array[Vector[Long]] = {
-    val out = Array.fill(boundaries.length + 1)(Vector.newBuilder[Long])
+  /** Two passes: each record's stratum and the stratum sizes, then fill. */
+  private def splitBy(n: Int, idx: Int => Long, proxy: Int => Double, boundaries: Array[Double]): Array[Array[Long]] = {
+    val stratum = new Array[Int](n)
+    val sizes = new Array[Int](boundaries.length + 1)
     var i = 0
-    while (i < n) { out(assign(proxy(i), boundaries)) += idx(i); i += 1 }
-    out.map(_.result())
+    while (i < n) { stratum(i) = assign(proxy(i), boundaries); sizes(stratum(i)) += 1; i += 1 }
+    val out = sizes.map(new Array[Long](_))
+    val filled = new Array[Int](sizes.length)
+    i = 0
+    while (i < n) {
+      val k = stratum(i)
+      out(k)(filled(k)) = idx(i); filled(k) += 1; i += 1
+    }
+    out
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
-
 /** Aggregation functions supported by InQuest queries (paper §2.1). */
 sealed trait AggFunc
 object AggFunc {
@@ -45,14 +43,14 @@ final case class StreamDataset(
   }
 
   /** Indices and proxies of the records in `segment`, as parallel
-    * arrays: the keys InQuest stratifies and samples on.
+    * arrays: the keys the algorithms stratify and sample on.
     */
-  def keys(segment: Range): (ArraySeq[Long], ArraySeq[Double]) = {
+  def keys(segment: Range): (Array[Long], Array[Double]) = {
     val idx = new Array[Long](segment.length)
     val p = new Array[Double](segment.length)
     var j = 0
     segment.foreach { i => idx(j) = i; p(j) = proxy(i); j += 1 }
-    (ArraySeq.unsafeWrapArray(idx), ArraySeq.unsafeWrapArray(p))
+    (idx, p)
   }
 
   /** Exact per-segment query answer μ_t (evaluation harness only). */
@@ -123,8 +121,19 @@ final case class RunResult(
     oracleCalls: Long,
 )
 
-/** A streaming (or batch, presented as a stream) estimation algorithm. */
-trait StreamAlgorithm {
+/** A streaming (or batch, presented as a stream) estimation algorithm,
+  * split into a trial-invariant plan and a per-trial draw.
+  */
+trait StreamAlgorithm extends Serializable {
   def name: String
-  def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult
+
+  /** Do the work that depends only on the data (strata, splits, sizes)
+    * and return the trial function: trial seed to result. The function is
+    * immutable and serializable, so one plan serves every Monte-Carlo
+    * trial of a call.
+    */
+  def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult
+
+  final def run(ds: StreamDataset, query: QueryConfig, trialSeed: Long): RunResult =
+    prepare(ds, query)(trialSeed)
 }

@@ -5,9 +5,9 @@ import repro.abae.ABae
 import repro.baselines.{FixedStratified, UniformSampling}
 import repro.core._
 
-/** Algorithm registry — algorithms are constructed *inside* Spark tasks
-  * from their name, so nothing stateful crosses the serialization
-  * boundary.
+/** Algorithm registry. What crosses the serialization boundary to the
+  * Spark tasks is an algorithm's trial function (its plan and the stream),
+  * which is immutable, so trials share it without coordination.
   */
 object Algorithms {
   val All: Seq[String] = Seq("uniform", "stratified", "abae", "inquest")
@@ -44,9 +44,10 @@ final case class EvalPoint(
 )
 
 /** Distributed Monte-Carlo evaluation: the paper's 1000-trial loops as a
-  * Spark job — `spark.range(nTrials)` with the stream broadcast, one
-  * record-at-a-time engine run per task (DESIGN.md §6, "Trials over
-  * Spark").
+  * Spark job — `spark.range(nTrials)` with the algorithm's trial function
+  * (its plan, built once per call on the driver, and the stream)
+  * broadcast, and one record-at-a-time trial per row (DESIGN.md §6,
+  * "Trials over Spark").
   */
 object Runner {
 
@@ -61,14 +62,13 @@ object Runner {
   ): EvalPoint = {
     require(nTrials > 0, s"need at least one trial, got $nTrials")
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(ds)
+    val bc = spark.sparkContext.broadcast(Algorithms.byName(algorithm, params).prepare(ds, query))
     val outcomes: Seq[TrialOutcome] =
       try {
         spark.range(nTrials)
           .repartition(spark.sparkContext.defaultParallelism)
           .map { trial =>
-            val algo = Algorithms.byName(algorithm, params)
-            val r = algo.run(bc.value, query, baseSeed + trial)
+            val r = bc.value(baseSeed + trial)
             TrialOutcome(trial, r.perSegment.toSeq, r.finalEstimate, r.oracleCalls)
           }
           .collect()

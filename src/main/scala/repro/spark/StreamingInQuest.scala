@@ -5,7 +5,6 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.core._
 import repro.util.Rng
-import scala.collection.immutable.ArraySeq
 
 /** One stream record as seen by the Catalyst engine. `statistic` and
   * `predicate` travel with the row but the engine only *reads* them on
@@ -15,8 +14,9 @@ final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predi
 
 /** InQuest on Spark Structured Streaming (DESIGN.md §2): a `foreachBatch`
   * sink where **one micro-batch is one tumbling segment**. It is the data
-  * plane of an [[InQuest.Session]], which holds the control plane both
-  * engines share. Every segment, the pilot included, is exactly two Spark
+  * plane of an [[InQuest.Planner]] and an [[InQuest.Session]], which hold
+  * the control plane both engines share; the planner takes one segment per
+  * micro-batch. Every segment, the pilot included, is exactly two Spark
   * actions:
   *
   *   1. collect the segment's `(idx, proxy)` keys to the driver (16 B per
@@ -24,8 +24,8 @@ final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predi
   *   2. read `statistic`/`predicate` for the sampled `idx`s only (an
   *      `isin` filter): the metered oracle invocation.
   *
-  * Between the two, the session decides strata, counts and the sample on
-  * the driver, so both engines pick identical records. Each cell sums its
+  * Between the two, the planner decides the strata and the session the
+  * counts and the sample on the driver, so both engines pick identical records. Each cell sums its
   * observations in sampling order, ascending
   * `(Rng.uniform(trialSeed, idx, tag), idx)`, where the local engine sums
   * in `idx` order; on non-integer statistics the two engines may
@@ -43,6 +43,7 @@ final class StreamingInQuest(
     query: QueryConfig,
     trialSeed: Long,
 ) {
+  private val planner = new InQuest.Planner(params)
   private val session = new InQuest.Session(params, query, trialSeed)
   @volatile private var latest: Option[Double] = None
 
@@ -67,7 +68,7 @@ final class StreamingInQuest(
     val (idx, proxy) = collectKeys(segment)
     if (idx.isEmpty) None
     else {
-      val cells = session.step(idx, proxy, invokeOracle(segment))
+      val cells = session.step(planner.add(idx, proxy), invokeOracle(segment))
       latest = Some(session.result.finalEstimate)
       Some(cells)
     }
@@ -83,12 +84,12 @@ final class StreamingInQuest(
   /** Action 1: every record's `(idx, proxy)`. Non-finite proxies are
     * rejected, naming the smallest bad `idx`.
     */
-  private def collectKeys(segment: DataFrame): (ArraySeq[Long], ArraySeq[Double]) = {
+  private def collectKeys(segment: DataFrame): (Array[Long], Array[Double]) = {
     val rows = segment.select(col("idx"), col("proxy")).collect()
-    val idx = ArraySeq.unsafeWrapArray(rows.map(_.getLong(0)))
-    val proxy = ArraySeq.unsafeWrapArray(rows.map(_.getDouble(1)))
+    val idx = rows.map(_.getLong(0))
+    val proxy = rows.map(_.getDouble(1))
     require(proxy.forall(java.lang.Double.isFinite), {
-      val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx)
+      val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx(_))
       s"non-finite proxy ${proxy(i)} at idx ${idx(i)}"
     })
     (idx, proxy)

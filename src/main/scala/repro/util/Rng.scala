@@ -23,13 +23,17 @@ object Rng {
     z ^ (z >>> 31)
   }
 
-  /** Combine a seed with an index (and optional purpose tag) into one key. */
-  def key(seed: Long, idx: Long, tag: Long = 0L): Long =
-    mix64(mix64(seed ^ mix64(tag)) ^ idx)
+  /** The `(seed, tag)` half of a record's key, `mix64(salt ^ idx)`: hoist
+    * it out of a loop over indices and finish each key with [[uniformAt]].
+    */
+  def salt(seed: Long, tag: Long = 0L): Long = mix64(seed ^ mix64(tag))
+
+  /** `uniform(seed, idx, tag)` given `salt(seed, tag)`. */
+  def uniformAt(salt: Long, idx: Long): Double =
+    (mix64(salt ^ idx) >>> 11) * 1.1102230246251565e-16 // 2^-53
 
   /** Uniform double in [0, 1), a pure function of (seed, idx, tag). */
-  def uniform(seed: Long, idx: Long, tag: Long = 0L): Double =
-    (key(seed, idx, tag) >>> 11) * 1.1102230246251565e-16 // 2^-53
+  def uniform(seed: Long, idx: Long, tag: Long = 0L): Double = uniformAt(salt(seed, tag), idx)
 
   /** Standard normal via Box–Muller on two decorrelated uniforms. */
   def gaussian(seed: Long, idx: Long, tag: Long = 0L): Double = {
@@ -42,7 +46,7 @@ object Rng {
     * generators that are inherently sequential (Markov chains, AR(1)).
     */
   final class Seq(seed: Long, tag: Long = 0L) {
-    private var state: Long = mix64(seed ^ mix64(tag))
+    private var state: Long = salt(seed, tag)
     def nextLong(): Long = { state = mix64(state); state }
     def nextUniform(): Double = (nextLong() >>> 11) * 1.1102230246251565e-16
     def nextGaussian(): Double = {

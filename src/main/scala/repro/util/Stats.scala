@@ -93,12 +93,15 @@ object Stats {
     *
     * Returns the K−1 interior boundaries (quantiles at j/K, linear
     * interpolation). With duplicates boundaries may coincide; stratum
-    * assignment handles that by half-open intervals.
+    * assignment handles that by half-open intervals. The sort is a
+    * primitive `Arrays.sort`, whose `Double.compare` order is the one
+    * `xs.sorted` uses.
     */
   def quantileBoundaries(xs: Seq[Double], k: Int): Array[Double] = {
     require(k >= 1, s"need at least one stratum, got $k")
     require(xs.nonEmpty, "quantileBoundaries of empty sequence")
-    val s = xs.sorted.toArray
+    val s = xs.toArray
+    java.util.Arrays.sort(s)
     Array.tabulate(k - 1) { j =>
       val q = (j + 1).toDouble / k
       val pos = q * (s.length - 1)

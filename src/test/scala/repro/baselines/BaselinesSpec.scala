@@ -83,6 +83,15 @@ class BaselinesSpec extends AnyFunSuite {
     assert(a.perSegment.toSeq == b.perSegment.toSeq)
   }
 
+  test("stratified: a proxy outside [0, 1] is rejected, naming its idx") {
+    val proxy = Array.tabulate(10)(i => i / 10.0)
+    proxy(7) = 1.25
+    val bad = StreamDataset("oob", proxy, proxy, proxy.map(_ => true))
+    val q = QueryConfig(AggFunc.Avg, segmentLength = 5, budgetPerSegment = 2)
+    val e = intercept[IllegalArgumentException](new FixedStratified().run(bad, q, 1))
+    assert(e.getMessage.contains("1.25 at idx 7"), e.getMessage)
+  }
+
   test("stratified beats uniform on a proxy-separable stream (variance)") {
     val truths = ds.truthPerSegment(query.segmentLength, usePredicate = true)
     def rmse(algo: StreamAlgorithm): Double = {

@@ -16,16 +16,18 @@ class RunnerSpec extends SparkSpec {
   }
 
   test("distributed evaluation equals local trials (same seeds)") {
-    val distributed = Runner.evaluate(spark, ds, "inquest", query, nTrials = 16, baseSeed = 100)
-    val localOutcomes = (0 until 16).map { t =>
-      val r = new InQuest().run(ds, query, 100L + t)
-      TrialOutcome(t.toLong, r.perSegment.toSeq, r.finalEstimate, r.oracleCalls)
+    Algorithms.All.foreach { a =>
+      val distributed = Runner.evaluate(spark, ds, a, query, nTrials = 16, baseSeed = 100)
+      val localOutcomes = (0 until 16).map { t =>
+        val r = Algorithms.byName(a).run(ds, query, 100L + t)
+        TrialOutcome(t.toLong, r.perSegment.toSeq, r.finalEstimate, r.oracleCalls)
+      }
+      val local = Runner.summarize(ds, a, query, localOutcomes)
+      assert(math.abs(distributed.meanTrialMedianError - local.meanTrialMedianError) < 1e-12, a)
+      assert(math.abs(distributed.medianSegmentRmse - local.medianSegmentRmse) < 1e-12, a)
+      assert(math.abs(distributed.fullQueryRmse - local.fullQueryRmse) < 1e-12, a)
+      assert(distributed.meanOracleCalls == local.meanOracleCalls, a)
     }
-    val local = Runner.summarize(ds, "inquest", query, localOutcomes)
-    assert(math.abs(distributed.meanTrialMedianError - local.meanTrialMedianError) < 1e-12)
-    assert(math.abs(distributed.medianSegmentRmse - local.medianSegmentRmse) < 1e-12)
-    assert(math.abs(distributed.fullQueryRmse - local.fullQueryRmse) < 1e-12)
-    assert(distributed.meanOracleCalls == local.meanOracleCalls)
   }
 
   test("evaluate runs every algorithm end-to-end on Spark") {

@@ -3,7 +3,7 @@ package repro.sampling
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Checks.forAllSampled
-import repro.util.Stats
+import repro.util.{Rng, Stats}
 
 class ReservoirSpec extends AnyFunSuite {
 
@@ -56,6 +56,22 @@ class ReservoirSpec extends AnyFunSuite {
       Stats.mean(Reservoir.bottomN(0L until 1000L, 20, t.toLong).map(i => pop(i.toInt)))
     }
     assert(math.abs(Stats.mean(means) - Stats.mean(pop)) < 0.05)
+  }
+
+  test("bottomN equals its brute-force definition") {
+    val gen = for {
+      size <- Gen.chooseNum(0, 300)
+      offset <- Gen.chooseNum(0L, 1L << 40)
+      n <- Gen.chooseNum(0, 320)
+      seed <- Gen.chooseNum(Long.MinValue, Long.MaxValue)
+      tag <- Gen.chooseNum(0L, 1000L)
+    } yield ((0 until size).map(i => offset + 7L * i), n, seed, tag)
+    forAllSampled(gen, n = 600) { case (idxs, n, seed, tag) =>
+      val expected = idxs.sortBy(i => (Rng.uniform(seed, i, tag), i)).take(n).sorted
+      val shuffled = scala.util.Random.shuffle(idxs)
+      assert(Reservoir.bottomN(shuffled, n, seed, tag) == expected)
+      assert(Reservoir.bottomN(shuffled.toArray, n, seed, tag).toSeq == expected)
+    }
   }
 
   test("negative sample sizes are rejected") {

@@ -140,6 +140,24 @@ class StatsSpec extends AnyFunSuite {
     }
   }
 
+  test("quantileBoundaries equals its definition over the boxed sort") {
+    // Few distinct values, so duplicates are common; -0.0 and 0.0 both occur.
+    val values = Gen.oneOf(-0.0, 0.0, 0.25, 1.0, -3.5, 1e-300, Double.MinValue, Double.MaxValue)
+    val gen = Gen.zip(Gen.nonEmptyListOf(Gen.oneOf(values, Gen.chooseNum(-1.0, 1.0))), Gen.chooseNum(1, 6))
+    forAllSampled(gen, n = 300) { case (xs, k) =>
+      val s = xs.sorted.toArray
+      val expected = Array.tabulate(k - 1) { j =>
+        val pos = (j + 1).toDouble / k * (s.length - 1)
+        val lo = pos.toInt
+        val hi = math.min(lo + 1, s.length - 1)
+        s(lo) * (1 - (pos - lo)) + s(hi) * (pos - lo)
+      }
+      val b = Stats.quantileBoundaries(xs, k)
+      assert(b.map(java.lang.Double.doubleToRawLongBits).toSeq ==
+        expected.map(java.lang.Double.doubleToRawLongBits).toSeq, s"K=$k xs=$xs")
+    }
+  }
+
   test("stratumOf respects half-open boundaries") {
     val b = Array(1.0, 2.0)
     assert(Stats.stratumOf(0.5, b) == 0)
