@@ -49,37 +49,30 @@ final class ABae(
     trialSeed => {
       // Batch algorithm: the budget is global, not per-segment.
       val oracle = new OracleModel(ds, query.segmentLength, None)
-      def observe(idxs: Array[Long]): Vector[(Long, Double, Boolean)] =
-        idxs.iterator.map { i =>
-          val (f, o) = oracle.invoke(i.toInt)
-          (i, f, if (query.usePredicate) o else true)
-        }.toVector
-      def cell(sizeD: Long, obs: Seq[(Long, Double, Boolean)]): StratumStats =
-        StratumStats.fromSamples(sizeD, obs.map { case (_, f, o) => (f, o) })
+      def cell(sizeD: Long, idxs: Array[Long]): StratumStats = oracle.cell(sizeD, idxs, query.usePredicate)
 
       // Stage 1: pilot, uniform per stratum.
       val pilot = (0 until k).map(s => Reservoir.bottomN(strata(s), pilotPer(s), trialSeed, ABae.PilotTag))
-      val pilotSamples = pilot.map(observe)
 
       // Stage 2: allocate the rest by the estimated optimal allocation.
-      val pilotStats = (0 until k).map(s => cell(sizes(s), pilotSamples(s)))
+      val pilotStats = (0 until k).map(s => cell(sizes(s), pilot(s)))
       val alloc = Allocation.optimal(sizes, pilotStats.map(_.pHat).toArray, pilotStats.map(_.stdHat).toArray)
-      val stage2Counts = Stats.largestRemainder(alloc, totalBudget - pilotSamples.map(_.size).sum)
-      val stage2Samples = (0 until k).map { s =>
-        observe(Reservoir.bottomN(ABae.without(strata(s), pilot(s)), stage2Counts(s), trialSeed, ABae.Stage2Tag))
+      val stage2Counts = Stats.largestRemainder(alloc, totalBudget - pilot.map(_.length).sum)
+      val stage2 = (0 until k).map { s =>
+        Reservoir.bottomN(ABae.without(strata(s), pilot(s)), stage2Counts(s), trialSeed, ABae.Stage2Tag)
       }
 
       // Sample reuse: pool pilot and stage-2 samples per stratum.
-      val pooled = (0 until k).map(s => pilotSamples(s) ++ stage2Samples(s))
+      val pooled = (0 until k).map(s => pilot(s) ++ stage2(s))
       val finalCells = (0 until k).map(s => cell(sizes(s), pooled(s)))
 
       // Per-segment estimates "by selecting the subset of ABae's oracle
       // samples within each segment" (paper §5.2). The paper does not pin
       // down the weights; we use per-segment ŵ_tk ∝ |D_tk|·p̂_tk (ABae sees
       // every proxy score, so |D_tk| is available), the strongest reading.
-      val bySegment = pooled.map(_.groupBy(_._1.toInt / query.segmentLength))
       val perSegment = Array.tabulate(nSegments) { t =>
-        Estimator.segmentEstimate((0 until k).map(s => cell(sizeDtk(t)(s), bySegment(s).getOrElse(t, Nil))), query.agg)
+        Estimator.segmentEstimate((0 until k).map(s =>
+          cell(sizeDtk(t)(s), pooled(s).filter(_ / query.segmentLength == t))), query.agg)
       }
 
       RunResult(perSegment, Estimator.estimate(finalCells, query.agg), oracle.totalCalls)

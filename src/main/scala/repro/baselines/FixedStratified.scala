@@ -3,7 +3,6 @@ package repro.baselines
 import repro.core._
 import repro.sampling.Reservoir
 import repro.util.Stats
-import scala.collection.immutable.ArraySeq
 
 /** Stratified-sampling streaming baseline with fixed strata and fixed
   * allocations (paper §5.1).
@@ -42,11 +41,7 @@ final class FixedStratified(k: Int = 3) extends StreamAlgorithm {
       val cellsPerSegment = plans.zipWithIndex.map { case ((strata, counts), t) =>
         (0 until k).map { s =>
           val sampled = Reservoir.bottomN(strata(s), counts(s), trialSeed, FixedStratified.SampleTag + t)
-          val obs = ArraySeq.unsafeWrapArray(sampled).map { i =>
-            val (f, o) = oracle.invoke(i.toInt)
-            (f, if (query.usePredicate) o else true)
-          }
-          StratumStats.fromSamples(strata(s).length.toLong, obs)
+          oracle.cell(strata(s).length.toLong, sampled, query.usePredicate)
         }
       }
 

@@ -2,7 +2,6 @@ package repro.baselines
 
 import repro.core._
 import repro.sampling.Reservoir
-import scala.collection.immutable.ArraySeq
 
 /** Uniform-sampling streaming baseline (paper §5.1).
   *
@@ -25,18 +24,13 @@ final class UniformSampling extends StreamAlgorithm {
     var j = 0
     while (j < all.length) { all(j) = j; j += 1 }
     val sampled = Reservoir.bottomN(all, totalBudget, trialSeed, UniformSampling.SampleTag)
-    val obs = ArraySeq.unsafeWrapArray(sampled).map { i =>
-      val (f, o) = oracle.invoke(i.toInt)
-      (i, f, if (query.usePredicate) o else true)
-    }
 
-    val perSegment = segs.zipWithIndex.map { case (seg, _) =>
-      val inSeg = obs.filter { case (i, _, _) => seg.contains(i.toInt) }
-      val cell = StratumStats.fromSamples(seg.size.toLong, inSeg.map { case (_, f, p) => (f, p) })
+    val perSegment = segs.map { seg =>
+      val cell = oracle.cell(seg.size.toLong, sampled.filter(i => seg.contains(i.toInt)), query.usePredicate)
       Estimator.segmentEstimate(Seq(cell), query.agg)
     }.toArray
 
-    val overall = StratumStats.fromSamples(ds.length.toLong, obs.map { case (_, f, p) => (f, p) })
+    val overall = oracle.cell(ds.length.toLong, sampled, query.usePredicate)
     RunResult(perSegment, Estimator.estimate(Seq(overall), query.agg), oracle.totalCalls)
   }
 }

@@ -30,16 +30,14 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
     val planner = new InQuest.Planner(params)
     val plans = ds.segments(query.segmentLength).map { seg =>
       val (idx, proxy) = ds.keys(seg)
-      planner.add(idx, proxy)
+      planner.add(idx, proxy)(identity)
     }
     trialSeed => {
       val session = new InQuest.Session(params, query, trialSeed)
       val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
       // Each cell in ascending idx order, as `bottomN` returns it.
-      val observe: InQuest.Oracle = (cells, _) => cells.map(_.map { i =>
-        val (f, o) = oracle.invoke(i.toInt)
-        (i, f, o)
-      })
+      val observe: InQuest.Oracle = (cells, _) =>
+        cells.map { case (sizeD, idxs) => oracle.cell(sizeD, idxs, query.usePredicate) }
       plans.foreach(session.step(_, observe))
       session.trace
     }
@@ -58,12 +56,12 @@ object InQuest {
   /** Tag decorrelating sampling uniforms from data-generation uniforms. */
   val SampleTag: Long = 0x1A0_57AB1EL
 
-  /** An engine's data plane: given every cell's sampled `idx`s (each
-    * ascending) and the cells' sampling tag, it invokes the oracle on
-    * exactly those records and returns each cell's `(idx, f(x), O(x))` in
-    * the order the engine sums them.
+  /** An engine's data plane: given every cell's |D| and sampled `idx`s
+    * (ascending), and the cells' sampling tag, it invokes the oracle on
+    * exactly those records and returns each cell's [[StratumStats]],
+    * summed in the engine's order.
     */
-  type Oracle = (Seq[Seq[Long]], Long) => Seq[Seq[(Long, Double, Boolean)]]
+  type Oracle = (Seq[(Long, Array[Long])], Long) => Seq[StratumStats]
 
   /** Run result plus internals for white-box tests and the lesion study. */
   final case class Trace(
@@ -99,9 +97,11 @@ object InQuest {
     private var strataHistory = Vector.empty[Array[Double]]
 
     /** Plan the next segment, given as parallel `(idx, proxy)` keys of its
-      * records in any order.
+      * records in any order, and hand the plan to `use`. The segment joins
+      * the strata history only once `use` returns, so a `use` that throws
+      * leaves the planner as it was.
       */
-    def add(idx: Array[Long], proxy: Array[Double]): SegmentPlan = {
+    def add[A](idx: Array[Long], proxy: Array[Double])(use: SegmentPlan => A): A = {
       require(idx.nonEmpty && idx.length == proxy.length,
         s"a segment needs parallel, non-empty keys: ${idx.length}/${proxy.length}")
       val t = strataHistory.size
@@ -115,8 +115,9 @@ object InQuest {
           val b = Stratification.smooth(strataHistory, params.alpha)
           SegmentPlan(t, b, Stratification.split(idx, proxy, b))
         }
+      val used = use(plan)
       strataHistory :+= ownStrata
-      plan
+      used
     }
   }
 
@@ -151,9 +152,6 @@ object InQuest {
     private var boundaries = Vector.empty[Array[Double]]
     private var counts = Vector.empty[Array[Int]]
 
-    private def cell(sizeD: Long, obs: Seq[(Long, Double, Boolean)]): StratumStats =
-      StratumStats.fromSamples(sizeD, obs.map { case (_, f, o) => (f, o || !query.usePredicate) })
-
     /** Process the next segment from its plan; `oracle` is called once.
       * Returns the segment's cells.
       */
@@ -164,22 +162,19 @@ object InQuest {
       val (segCells, allocCells, drawn) =
         if (t == 0) {
           // Pilot: N uniform samples over the whole segment, one stratum.
-          // Bucketed by the segment's own strata S_1, keeping the order
-          // the data plane sums them in, they seed a_1.
+          // Its shares in the segment's own strata S_1 seed a_1.
           val all = plan.strata.flatten
           val sample = Reservoir.bottomN(all, math.min(n, all.length), trialSeed, SampleTag)
-          val obs = oracle(Seq(ArraySeq.unsafeWrapArray(sample)), SampleTag).head
-          val byStratum = obs.groupBy(o => plan.stratumOf(o._1))
-          val seeded = sizes.indices.map(k => cell(sizes(k), byStratum.getOrElse(k, Nil)))
-          (Seq(cell(all.length, obs)), seeded, None)
+          val obs = oracle((all.length.toLong, sample) +:
+            sizes.indices.map(k => (sizes(k), sample.filter(plan.stratumOf(_) == k))), SampleTag)
+          (obs.take(1), obs.tail, None)
         } else {
           val aHat = Allocation.smooth(allocHistory, params.alpha)
           val c = Allocation.capToSizes(Allocation.sampleCounts(aHat, n1, n2), sizes)
           val tag = SampleTag + t + 1
-          val obs = oracle(plan.strata.indices.map(k =>
-            ArraySeq.unsafeWrapArray(Reservoir.bottomN(plan.strata(k), c(k), trialSeed, tag))), tag)
-          val segCells = sizes.indices.map(k => cell(sizes(k), obs(k)))
-          (segCells, segCells, Some(c))
+          val obs = oracle(sizes.indices.map(k =>
+            (sizes(k), Reservoir.bottomN(plan.strata(k), c(k), trialSeed, tag))), tag)
+          (obs, obs, Some(c))
         }
 
       val segCalls = segCells.map(_.nSampled.toLong).sum

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** The expensive high-precision model, metered.
   *
   * In the paper the oracle is a Mask R-CNN / BERT forward pass; here it
@@ -42,6 +44,16 @@ final class OracleModel(
     }
     (statistic(idx), predicate(idx))
   }
+
+  /** One cell: invoke the oracle on `idxs` in the given order and fold
+    * them into |D| = `sizeD` sufficient statistics. Without a WHERE clause
+    * (`usePredicate` false) every record matches.
+    */
+  def cell(sizeD: Long, idxs: Array[Long], usePredicate: Boolean): StratumStats =
+    StratumStats.fromSamples(sizeD, ArraySeq.unsafeWrapArray(idxs).map { i =>
+      val (f, o) = invoke(i.toInt)
+      (f, o || !usePredicate)
+    })
 
   def totalCalls: Long = callsPerSegment.sum
   def callsInSegment(t: Int): Long = callsPerSegment(t)

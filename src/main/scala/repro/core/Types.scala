@@ -107,10 +107,23 @@ final case class StratumStats(
 }
 
 object StratumStats {
-  /** Fold oracle observations (f, O) for one cell into sufficient stats. */
+  /** Fold oracle observations (f, O) for one cell into sufficient stats,
+    * summing in the given order. Each sum starts from the first matching
+    * value, as `Seq.sum` on a sized collection does, so a lone −0.0 keeps
+    * its sign.
+    */
   def fromSamples(sizeD: Long, obs: Seq[(Double, Boolean)]): StratumStats = {
-    val pos = obs.collect { case (f, true) => f }
-    StratumStats(sizeD, obs.size, pos.size, pos.sum, pos.map(f => f * f).sum)
+    var nPos = 0
+    var sumF = 0.0
+    var sumSqF = 0.0
+    obs.foreach { case (f, o) =>
+      if (o) {
+        if (nPos == 0) { sumF = f; sumSqF = f * f }
+        else { sumF += f; sumSqF += f * f }
+        nPos += 1
+      }
+    }
+    StratumStats(sizeD, obs.size, nPos, sumF, sumSqF)
   }
 }
 

@@ -28,10 +28,9 @@ object Datasets {
 
   val names: Seq[String] = specs.map(_.name)
 
-  /** Paper evaluation-query shape (§5.1): 100 k-record tumbling segments,
-    * 500 k-record duration → T = 5.
+  /** Paper evaluation-query duration (§5.1): 500 k records, T = 5
+    * segments of 100 k.
     */
-  val SegmentLength = 100_000
   val Duration = 500_000
 
   /** Generate one catalogue dataset at a given length (tests shrink it). */

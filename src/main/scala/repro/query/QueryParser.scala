@@ -10,8 +10,6 @@ import repro.core.{AggFunc, QueryConfig}
 final case class Interval(value: Long, unit: String) {
   require(value > 0, s"interval must be positive, got $value")
 
-  def isRecordBased: Boolean = Interval.RecordUnits.contains(unit)
-
   /** Number of stream records this interval spans. `recordsPerSecond`
     * is required only for time-based units (e.g. 30 fps video).
     */

@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.core._
 import repro.util.Rng
+import scala.collection.immutable.ArraySeq
 
 /** One stream record as seen by the Catalyst engine. `statistic` and
   * `predicate` travel with the row but the engine only *reads* them on
@@ -25,8 +26,8 @@ final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predi
   *      `isin` filter): the metered oracle invocation.
   *
   * Between the two, the planner decides the strata and the session the
-  * counts and the sample on the driver, so both engines pick identical records. Each cell sums its
-  * observations in sampling order, ascending
+  * counts and the sample on the driver, so both engines pick identical
+  * records. Each cell sums its observations in sampling order, ascending
   * `(Rng.uniform(trialSeed, idx, tag), idx)`, where the local engine sums
   * in `idx` order; on non-integer statistics the two engines may
   * therefore differ in the last bits. Equivalence with the
@@ -60,15 +61,16 @@ final class StreamingInQuest(
       .start()
 
   /** Process the next tumbling segment; `segment` must hold exactly that
-    * segment's records. Returns the segment's cells, or `None` (and no
-    * change of state) when `segment` holds no records. Also callable
-    * directly from a user-managed `foreachBatch` closure.
+    * segment's records. Returns the segment's cells, or `None` when
+    * `segment` holds no records. A batch that holds no records or fails
+    * changes no state, so it can be retried. Also callable directly from a
+    * user-managed `foreachBatch` closure.
     */
   def processBatch(segment: DataFrame): Option[Seq[StratumStats]] = synchronized {
     val (idx, proxy) = collectKeys(segment)
     if (idx.isEmpty) None
     else {
-      val cells = session.step(planner.add(idx, proxy), invokeOracle(segment))
+      val cells = planner.add(idx, proxy)(session.step(_, invokeOracle(segment)))
       latest = Some(session.result.finalEstimate)
       Some(cells)
     }
@@ -96,16 +98,17 @@ final class StreamingInQuest(
   }
 
   /** Action 2: the oracle's `(statistic, predicate)` for the sampled
-    * records only, each cell in sampling order.
+    * records only, each cell folded in sampling order.
     */
-  private def invokeOracle(segment: DataFrame)(cells: Seq[Seq[Long]], tag: Long): Seq[Seq[(Long, Double, Boolean)]] = {
+  private def invokeOracle(segment: DataFrame)(cells: Seq[(Long, Array[Long])], tag: Long): Seq[StratumStats] = {
     val cols = col("idx") +: col("statistic") +: (if (query.usePredicate) Seq(col("predicate")) else Nil)
-    val obs = segment.filter(col("idx").isInCollection(cells.flatten)).select(cols: _*).collect()
+    val obs = segment.filter(col("idx").isInCollection(cells.flatMap(_._2).distinct)).select(cols: _*).collect()
       .map(r => r.getLong(0) -> (r.getDouble(1), !query.usePredicate || r.getBoolean(2)))
       .toMap
-    cells.map(_.sortBy(i => (Rng.uniform(trialSeed, i, tag), i)).map { i =>
-      val (f, o) = obs.getOrElse(i, throw new IllegalStateException(s"no oracle row for sampled idx $i"))
-      (i, f, o)
-    })
+    cells.map { case (sizeD, idxs) =>
+      val inSamplingOrder = ArraySeq.unsafeWrapArray(idxs).sortBy(i => (Rng.uniform(trialSeed, i, tag), i))
+      StratumStats.fromSamples(sizeD, inSamplingOrder.map(i =>
+        obs.getOrElse(i, throw new IllegalStateException(s"no oracle row for sampled idx $i"))))
+    }
   }
 }

@@ -35,13 +35,6 @@ object Rng {
   /** Uniform double in [0, 1), a pure function of (seed, idx, tag). */
   def uniform(seed: Long, idx: Long, tag: Long = 0L): Double = uniformAt(salt(seed, tag), idx)
 
-  /** Standard normal via Box–Muller on two decorrelated uniforms. */
-  def gaussian(seed: Long, idx: Long, tag: Long = 0L): Double = {
-    val u1 = math.max(uniform(seed, idx, tag ^ 0x5DEECE66DL), 1e-300)
-    val u2 = uniform(seed, idx, tag ^ 0x2545F4914F6CDD1DL)
-    math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.Pi * u2)
-  }
-
   /** A mutable sequential generator seeded from the same keyspace; used by
     * generators that are inherently sequential (Markov chains, AR(1)).
     */

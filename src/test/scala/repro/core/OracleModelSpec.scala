@@ -40,6 +40,27 @@ class OracleModelSpec extends AnyFunSuite {
     assert(m.totalCalls == 2)
   }
 
+  test("cell applies the WHERE rule: only matches count with a WHERE, every record without") {
+    val where = model().cell(10, Array(0L, 1L, 2L), usePredicate = true)
+    assert(where == StratumStats(10, nSampled = 3, nPos = 2, sumF = 4.0, sumSqF = 10.0))
+    val noWhere = model().cell(10, Array(0L, 1L, 2L), usePredicate = false)
+    assert(noWhere == StratumStats(10, nSampled = 3, nPos = 3, sumF = 6.0, sumSqF = 14.0))
+  }
+
+  test("cell sums in the given order") {
+    def m = new OracleModel(Array(1e16, 1.0, -1e16), Array.fill(3)(true), 3)
+    assert(m.cell(3, Array(0L, 1L, 2L), usePredicate = false).sumF == 0.0) // 1e16 + 1 rounds to 1e16
+    assert(m.cell(3, Array(0L, 2L, 1L), usePredicate = false).sumF == 1.0)
+  }
+
+  test("a record in two cells is invoked once and does not trip the limit") {
+    val m = model(Some(2))
+    val pooled = m.cell(2, Array(0L, 1L), usePredicate = true)
+    val share = m.cell(1, Array(0L), usePredicate = true)
+    assert(pooled.nSampled == 2 && share == StratumStats(1, 1, 1, 1.0, 1.0))
+    assert(m.callsInSegment(0) == 2 && m.totalCalls == 2)
+  }
+
   test("out-of-range record indices are rejected") {
     assertThrows[IllegalArgumentException](model().invoke(4))
     assertThrows[IllegalArgumentException](model().invoke(-1))

@@ -1,9 +1,11 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
 import repro.{Oracle, SparkSpec}
 import repro.data.StreamGen
-import repro.testkit.SparkData
+import repro.testkit.{Checks, SparkData}
+import scala.collection.immutable.ArraySeq
 
 class TypesSpec extends SparkSpec {
 
@@ -114,6 +116,24 @@ class TypesSpec extends SparkSpec {
     assert(empty.pHat == 0.0 && empty.muHat == 0.0 && empty.varHat == 0.0)
     val one = StratumStats.fromSamples(10, Seq((5.0, true)))
     assert(one.muHat == 5.0 && one.varHat == 0.0)
+  }
+
+  test("StratumStats.fromSamples equals the collect-and-sum fold bit for bit") {
+    def reference(sizeD: Long, obs: Seq[(Double, Boolean)]): StratumStats = {
+      val pos = obs.collect { case (f, true) => f }
+      StratumStats(sizeD, obs.size, pos.size, pos.sum, pos.map(f => f * f).sum)
+    }
+    def bits(s: StratumStats) = (s.sizeD, s.nSampled, s.nPos,
+      java.lang.Double.doubleToRawLongBits(s.sumF), java.lang.Double.doubleToRawLongBits(s.sumSqF))
+    val value = Gen.frequency(3 -> Gen.choose(-1e6, 1e6), 1 -> Gen.oneOf(-0.0, 0.0, 1.0, 1e16, -1e16, 1e-300))
+    val obs = Gen.listOf(Gen.zip(value, Gen.oneOf(true, false)))
+    val edge = Seq(Nil, Seq((-0.0, true)), Seq((-0.0, true), (-0.0, true)), Seq((-0.0, true), (2.5, true)),
+      Seq((-0.0, false), (-0.0, true)), Seq((1.0, false), (2.0, false)), Seq((1e16, true), (1.0, true), (-1e16, true)))
+    (edge ++ Checks.samples(obs, n = 500)).foreach { o =>
+      Seq(o.toVector, ArraySeq.from(o)).foreach { seq =>
+        assert(bits(StratumStats.fromSamples(7, seq)) == bits(reference(7, seq)), s"on $seq")
+      }
+    }
   }
 
   test("QueryConfig validates its fields") {

@@ -91,8 +91,6 @@ class QueryParserSpec extends AnyFunSuite {
     assert(Interval(2, "HOURS").toRecords(30) == 216000)
     assert(Interval(90, "SECONDS").toRecords(2) == 180)
     assert(Interval(500, "TWEETS").toRecords() == 500)
-    assert(Interval(500, "RECORDS").isRecordBased)
-    assert(!Interval(1, "HOURS").isRecordBased)
   }
 
   test("unknown interval units are rejected at conversion") {

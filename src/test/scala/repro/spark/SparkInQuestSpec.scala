@@ -2,7 +2,7 @@ package repro.spark
 
 import java.util.concurrent.ConcurrentLinkedQueue
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{AnalysisException, DataFrame}
 import org.apache.spark.sql.functions.{col, lit, udf}
 import org.scalatest.concurrent.Eventually._
 import org.scalatest.time.{Seconds, Span}
@@ -40,9 +40,13 @@ class SparkInQuestSpec extends SparkSpec {
     * order.
     */
   private def assertSameTrace(d: StreamDataset, q: QueryConfig, seed: Long,
-                              params: InQuestParams = InQuestParams(), partitions: Int = 3): Unit = {
+                              params: InQuestParams = InQuestParams(), partitions: Int = 3): Unit =
+    assertLocalTrace(catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params).trace, d, q, seed, params)
+
+  /** `cat` is the local engine's trace and estimates on `d`. */
+  private def assertLocalTrace(cat: InQuest.Trace, d: StreamDataset, q: QueryConfig, seed: Long,
+                               params: InQuestParams = InQuestParams()): Unit = {
     val local = new InQuest(params).runTraced(d, q, seed)
-    val cat = catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params).trace
     assert(cat.boundariesPerSegment.map(_.toSeq) == local.boundariesPerSegment.map(_.toSeq))
     assert(cat.countsPerSegment.map(_.toSeq) == local.countsPerSegment.map(_.toSeq))
     assert(cat.rawAllocations.map(_.length) == local.rawAllocations.map(_.length))
@@ -165,6 +169,21 @@ class SparkInQuestSpec extends SparkSpec {
       assert(e.getMessage.contains(s"non-finite proxy $bad at idx 700"), e.getMessage)
       assert(engine.result.perSegment.isEmpty)
     }
+  }
+
+  test("a failed batch changes nothing: its retry gives the local engine's trace") {
+    val df = SparkData.toDF(spark, ds, partitions = 3)
+    val engine = new StreamingInQuest(InQuestParams(), query, 5L)
+    ds.segments(query.segmentLength).zipWithIndex.foreach { case (seg, t) =>
+      val batch = df.filter(col("idx") >= seg.start && col("idx") < seg.end)
+      if (t == 0 || t == 2) {
+        // The oracle read (action 2) fails on a batch without the statistic.
+        intercept[AnalysisException](engine.processBatch(batch.drop("statistic")))
+        assert(engine.result.perSegment.length == t)
+      }
+      engine.processBatch(batch)
+    }
+    assertLocalTrace(engine.trace, ds, query, 5L)
   }
 
   test("an empty segment changes nothing") {

@@ -53,12 +53,6 @@ class RngSpec extends AnyFunSuite {
     counts.foreach(c => assert(math.abs(c - n / 10) < 500, s"bin count $c far from ${n / 10}"))
   }
 
-  test("gaussian has ~N(0,1) moments") {
-    val xs = (0 until 100000).map(i => Rng.gaussian(5, i.toLong))
-    assert(math.abs(Stats.mean(xs)) < 0.02)
-    assert(math.abs(Stats.sampleVariance(xs) - 1.0) < 0.03)
-  }
-
   test("Seq generator is reproducible from its seed") {
     val a = new Rng.Seq(9); val b = new Rng.Seq(9)
     assert((0 until 100).map(_ => a.nextLong()) == (0 until 100).map(_ => b.nextLong()))
