@@ -39,7 +39,8 @@ final class ABae(
     val nSegments = ds.segments(query.segmentLength).size
     val totalBudget = math.min(ds.length, query.budgetPerSegment * nSegments)
     val (idx, proxy) = ds.keys(0 until ds.length)
-    val strata = Stratification.split(idx, proxy, Stats.quantileBoundaries(ArraySeq.unsafeWrapArray(proxy), k))
+    val b = Stratification.quantileStrata(ArraySeq.unsafeWrapArray(proxy), k)
+    val strata = Stratification.split(idx, proxy, b)
     val sizes = strata.map(_.length.toLong)
     val sizeDtk = Array.ofDim[Long](nSegments, k)
     for (s <- 0 until k; i <- strata(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.sampling.Reservoir
+import repro.util.Stats
 import scala.collection.immutable.ArraySeq
 
 /** InQuest hyperparameters (paper §3.2 "Setting parameters" defaults). */
@@ -43,9 +44,6 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
     }
   }
 
-  def runTraced(ds: StreamDataset, query: QueryConfig, trialSeed: Long): InQuest.Trace =
-    prepareTraced(ds, query)(trialSeed)
-
   override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
     val traced = prepareTraced(ds, query)
     trialSeed => traced(trialSeed).result
@@ -63,28 +61,26 @@ object InQuest {
     */
   type Oracle = (Seq[(Long, Array[Long])], Long) => Seq[StratumStats]
 
-  /** Run result plus internals for white-box tests and the lesion study. */
+  /** Run result plus internals for white-box tests and the lesion study;
+    * `boundariesPerSegment` holds Ŝ_t of every post-pilot segment.
+    */
   final case class Trace(
       result: RunResult,
       cells: Seq[Seq[StratumStats]],
       boundariesPerSegment: Seq[Array[Double]],
-      countsPerSegment: Seq[Array[Int]],
       rawAllocations: Seq[Array[Double]],
-  )
+  ) {
+    /** Samples per stratum of every post-pilot segment. */
+    def countsPerSegment: Seq[Array[Int]] = cells.drop(1).map(_.map(_.nSampled).toArray)
+  }
 
   /** The trial-invariant half of segment `t`: its strata, which depend on
-    * the proxies alone. `strata(k)` holds stratum k's record indices.
-    *
-    * For the pilot (`t` = 0), `boundaries` are the segment's own quantiles
-    * S_1 and each stratum is in ascending order, so the stratum of a
-    * sampled record is a binary search. For every later segment they are
-    * the smoothed Ŝ_t, and each stratum keeps the order of the keys.
+    * the proxies alone. `boundaries` are the segment's own quantiles S_1
+    * for the pilot (`t` = 0) and the smoothed Ŝ_t after it; `strata(k)`
+    * holds stratum k's record indices in ascending order.
     */
   final case class SegmentPlan(t: Int, boundaries: Array[Double], strata: Array[Array[Long]]) {
     def sizes: Array[Long] = strata.map(_.length.toLong)
-
-    /** Stratum of pilot record `i`. */
-    def stratumOf(i: Long): Int = strata.indexWhere(java.util.Arrays.binarySearch(_, i) >= 0)
   }
 
   /** The data-only half of the InQuest control plane: GetStrata and
@@ -104,18 +100,12 @@ object InQuest {
     def add[A](idx: Array[Long], proxy: Array[Double])(use: SegmentPlan => A): A = {
       require(idx.nonEmpty && idx.length == proxy.length,
         s"a segment needs parallel, non-empty keys: ${idx.length}/${proxy.length}")
-      val t = strataHistory.size
       val ownStrata = Stratification.quantileStrata(ArraySeq.unsafeWrapArray(proxy), params.k)
-      val plan =
-        if (t == 0) {
-          val strata = Stratification.split(idx, proxy, ownStrata)
-          strata.foreach(java.util.Arrays.sort(_))
-          SegmentPlan(t, ownStrata, strata)
-        } else {
-          val b = Stratification.smooth(strataHistory, params.alpha)
-          SegmentPlan(t, b, Stratification.split(idx, proxy, b))
-        }
-      val used = use(plan)
+      // Ŝ_t is a convex combination of sorted vectors, so it stays sorted.
+      val b = if (strataHistory.isEmpty) ownStrata else Stats.ewmaVec(strataHistory, params.alpha)
+      val strata = Stratification.split(idx, proxy, b)
+      strata.foreach(java.util.Arrays.sort(_))
+      val used = use(SegmentPlan(strataHistory.size, b, strata))
       strataHistory :+= ownStrata
       used
     }
@@ -150,7 +140,6 @@ object InQuest {
     private var allocHistory = Vector.empty[Array[Double]]
     private var cells = Vector.empty[Seq[StratumStats]]
     private var boundaries = Vector.empty[Array[Double]]
-    private var counts = Vector.empty[Array[Int]]
 
     /** Process the next segment from its plan; `oracle` is called once.
       * Returns the segment's cells.
@@ -159,27 +148,27 @@ object InQuest {
       val t = cells.size
       require(plan.t == t, s"plan of segment ${plan.t} given for segment $t")
       val sizes = plan.sizes
-      val (segCells, allocCells, drawn) =
+      val (segCells, allocCells) =
         if (t == 0) {
           // Pilot: N uniform samples over the whole segment, one stratum.
           // Its shares in the segment's own strata S_1 seed a_1.
           val all = plan.strata.flatten
           val sample = Reservoir.bottomN(all, math.min(n, all.length), trialSeed, SampleTag)
-          val obs = oracle((all.length.toLong, sample) +:
-            sizes.indices.map(k => (sizes(k), sample.filter(plan.stratumOf(_) == k))), SampleTag)
-          (obs.take(1), obs.tail, None)
+          val obs = oracle((all.length.toLong, sample) +: sizes.indices.map(k =>
+            (sizes(k), sample.filter(java.util.Arrays.binarySearch(plan.strata(k), _) >= 0))), SampleTag)
+          (obs.take(1), obs.tail)
         } else {
           val aHat = Allocation.smooth(allocHistory, params.alpha)
           val c = Allocation.capToSizes(Allocation.sampleCounts(aHat, n1, n2), sizes)
           val tag = SampleTag + t + 1
           val obs = oracle(sizes.indices.map(k =>
             (sizes(k), Reservoir.bottomN(plan.strata(k), c(k), trialSeed, tag))), tag)
-          (obs, obs, Some(c))
+          (obs, obs)
         }
 
       val segCalls = segCells.map(_.nSampled.toLong).sum
       require(segCalls <= n, s"oracle budget exceeded in segment $t: $segCalls > $n")
-      drawn.foreach { c => boundaries :+= plan.boundaries; counts :+= c }
+      if (t > 0) boundaries :+= plan.boundaries
       allocHistory :+= Allocation.rawAllocation(allocCells)
       cells :+= segCells
       segCells
@@ -190,6 +179,6 @@ object InQuest {
       Estimator.cumulativeEstimate(cells, query.agg),
       cells.flatten.map(_.nSampled.toLong).sum)
 
-    def trace: Trace = Trace(result, cells, boundaries, counts, allocHistory)
+    def trace: Trace = Trace(result, cells, boundaries, allocHistory)
   }
 }

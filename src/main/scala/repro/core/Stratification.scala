@@ -3,8 +3,9 @@ package repro.core
 import repro.util.Stats
 import scala.collection.immutable.ArraySeq
 
-/** GetStrata (Algorithm 2): proxy-quantile stratification smoothed by an
-  * EWMA over the segment history.
+/** GetStrata (Algorithm 2): proxy-quantile stratification. The EWMA over
+  * the segment history is `Stats.ewmaVec`, a record's stratum
+  * `Stats.stratumOf`.
   */
 object Stratification {
 
@@ -14,42 +15,29 @@ object Stratification {
   def quantileStrata(proxies: Seq[Double], k: Int): Array[Double] =
     Stats.quantileBoundaries(proxies, k)
 
-  /** `Ŝ_t = EWMA({S_1 … S_{t−1}}, α)` — element-wise over the boundary
-    * vectors, oldest first. Boundaries stay sorted because each input
-    * vector is sorted and EWMA is a convex combination.
-    */
-  def smooth(history: Seq[Array[Double]], alpha: Double): Array[Double] =
-    Stats.ewmaVec(history, alpha)
-
-  /** Stratum of a record given interior boundaries (half-open intervals). */
-  def assign(proxy: Double, boundaries: Array[Double]): Int =
-    Stats.stratumOf(proxy, boundaries)
-
   /** Partition a segment's records into K strata by proxy score: the
     * record indices per stratum, in the order of `idx`. `idx` and `proxy`
-    * are parallel.
+    * are parallel. Two passes: each record's stratum and the stratum
+    * sizes, then fill.
     */
-  def split(idx: Array[Long], proxy: Array[Double], boundaries: Array[Double]): Array[Array[Long]] =
-    splitBy(idx.length, idx(_), proxy(_), boundaries)
-
-  /** [[split]] over the records of `segment` of `ds`, without copying them. */
-  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[ArraySeq[Long]] =
-    splitBy(segment.length, segment(_).toLong, i => ds.proxy(segment(i)), boundaries)
-      .map(ArraySeq.unsafeWrapArray(_))
-
-  /** Two passes: each record's stratum and the stratum sizes, then fill. */
-  private def splitBy(n: Int, idx: Int => Long, proxy: Int => Double, boundaries: Array[Double]): Array[Array[Long]] = {
-    val stratum = new Array[Int](n)
+  def split(idx: Array[Long], proxy: Array[Double], boundaries: Array[Double]): Array[Array[Long]] = {
+    val stratum = new Array[Int](idx.length)
     val sizes = new Array[Int](boundaries.length + 1)
     var i = 0
-    while (i < n) { stratum(i) = assign(proxy(i), boundaries); sizes(stratum(i)) += 1; i += 1 }
+    while (i < idx.length) { stratum(i) = Stats.stratumOf(proxy(i), boundaries); sizes(stratum(i)) += 1; i += 1 }
     val out = sizes.map(new Array[Long](_))
     val filled = new Array[Int](sizes.length)
     i = 0
-    while (i < n) {
+    while (i < idx.length) {
       val k = stratum(i)
       out(k)(filled(k)) = idx(i); filled(k) += 1; i += 1
     }
     out
+  }
+
+  /** [[split]] over the records of `segment` of `ds`. */
+  def split(ds: StreamDataset, segment: Range, boundaries: Array[Double]): Array[ArraySeq[Long]] = {
+    val (idx, proxy) = ds.keys(segment)
+    split(idx, proxy, boundaries).map(ArraySeq.unsafeWrapArray(_))
   }
 }

@@ -90,8 +90,8 @@ object StreamGen {
     * results in smaller σ_tk".
     *
     * `λ_t = c·λ0·exp(w_t)` where w_t is a mean-reverting OU walk with a
-    * correlation time of `tau` records (≈ a segment), i.e. diurnal-style
-    * load variation; counts are Poisson(λ_t). The predicate is
+    * correlation time of `tau` = 250 000 records (≈ a segment), i.e.
+    * diurnal-style load variation; counts are Poisson(λ_t). The predicate is
     * `count > 0`, whose stationary rate `mean(1 − e^{−λ_t})` is pinned to
     * `targetP` by bisecting the scale `c` (monotone).
     */
@@ -101,13 +101,13 @@ object StreamGen {
       targetP: Double,
       targetR: Double,
       lambda0: Double = 2.0,
-      tau: Double = 250_000.0,
       drift: Double = 0.55,
       seed: Long = 0,
   ): StreamDataset = {
     require(targetP > 0 && targetP < 1, s"target p must be in (0,1), got $targetP")
     require(drift >= 0, s"drift must be >= 0, got $drift")
     val rng = new Rng.Seq(seed, tag = 0x71DE0L)
+    val tau = 250_000.0
     val lam = new Array[Double](length)
     val sigmaW = drift * math.sqrt(2.0 / tau) // stationary std of w ≈ drift
     var w = drift * rng.nextGaussian()
@@ -175,7 +175,7 @@ object StreamGen {
     StreamDataset(name, proxy, sentiment, matches)
   }
 
-  /** §5.6 adversarial stream: K interleaved Normal substreams whose
+  /** §5.6 adversarial stream: K = 3 interleaved Normal substreams whose
     * parameters (p_tk, σ_tk, μ_tk) are re-drawn at `nShifts` uniformly
     * random change-points; proxies are the β = 0.75 interpolation. Ranges
     * are the paper's: p ∈ [0,1], σ ∈ [0,3], μ_k ∈ ([0,3], [3,6], [6,9]).
@@ -184,11 +184,10 @@ object StreamGen {
       name: String,
       length: Int,
       nShifts: Int,
-      k: Int = 3,
-      beta: Double = 0.75,
       seed: Long = 0,
   ): StreamDataset = {
     require(nShifts >= 0, s"nShifts must be >= 0, got $nShifts")
+    val k = 3
     val rng = new Rng.Seq(seed, tag = 0xAD7E25A1L)
     val shiftIdxs = Vector.fill(nShifts)((rng.nextUniform() * length).toInt).sorted
 
@@ -214,6 +213,6 @@ object StreamGen {
       matches(i) = rng.nextUniform() < p(sub)
       i += 1
     }
-    StreamDataset(name, interpolatedProxy(g, beta, seed), g, matches)
+    StreamDataset(name, interpolatedProxy(g, 0.75, seed), g, matches)
   }
 }

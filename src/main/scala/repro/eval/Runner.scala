@@ -58,11 +58,10 @@ object Runner {
       query: QueryConfig,
       nTrials: Int,
       baseSeed: Long = 1234,
-      params: InQuestParams = InQuestParams(),
   ): EvalPoint = {
     require(nTrials > 0, s"need at least one trial, got $nTrials")
     import spark.implicits._
-    val bc = spark.sparkContext.broadcast(Algorithms.byName(algorithm, params).prepare(ds, query))
+    val bc = spark.sparkContext.broadcast(Algorithms.byName(algorithm).prepare(ds, query))
     val outcomes: Seq[TrialOutcome] =
       try {
         spark.range(nTrials)

@@ -41,7 +41,7 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("trace exposes K strata boundaries and counts per post-pilot segment") {
-    val t = new InQuest(InQuestParams(k = 3)).runTraced(ds, query, 1)
+    val t = new InQuest(InQuestParams(k = 3)).prepareTraced(ds, query)(1)
     assert(t.boundariesPerSegment.size == 4) // segments 2..5
     t.boundariesPerSegment.foreach(b => assert(b.length == 2))
     t.countsPerSegment.foreach { c =>
@@ -53,8 +53,26 @@ class InQuestSpec extends AnyFunSuite {
     t.cells.tail.foreach(cs => assert(cs.size == 3))
   }
 
+  test("Planner.add: shuffled keys give equal boundaries and equal, ascending strata in every segment") {
+    def plans(shuffle: Boolean): Seq[InQuest.SegmentPlan] = {
+      val planner = new InQuest.Planner(InQuestParams())
+      ds.segments(query.segmentLength).map { seg =>
+        val (idx, proxy) = ds.keys(seg)
+        val order = if (shuffle) new scala.util.Random(seg.start).shuffle(idx.indices.toVector) else idx.indices
+        planner.add(order.map(idx).toArray, order.map(proxy).toArray)(identity)
+      }
+    }
+    val (inOrder, shuffled) = (plans(shuffle = false), plans(shuffle = true))
+    assert(shuffled.size == 5)
+    inOrder.zip(shuffled).foreach { case (a, b) =>
+      assert(a.boundaries.toSeq == b.boundaries.toSeq, s"segment ${a.t}")
+      assert(a.strata.map(_.toSeq).toSeq == b.strata.map(_.toSeq).toSeq, s"segment ${a.t}")
+      b.strata.foreach(s => assert(s.toSeq == s.sorted.toSeq, s"segment ${b.t}: a stratum is not ascending"))
+    }
+  }
+
   test("defensive floor guarantees samples in every stratum after the pilot") {
-    val t = new InQuest(InQuestParams(defensiveFraction = 0.1)).runTraced(ds, query, 3)
+    val t = new InQuest(InQuestParams(defensiveFraction = 0.1)).prepareTraced(ds, query)(3)
     t.countsPerSegment.foreach { c =>
       // N1 = 10, K = 3 → at least 3 per stratum
       assert(c.forall(_ >= 3), s"stratum starved: ${c.toSeq}")
@@ -85,7 +103,7 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("no-predicate queries treat every record as matching") {
-    val t = new InQuest().runTraced(ds, query.copy(usePredicate = false), 5)
+    val t = new InQuest().prepareTraced(ds, query.copy(usePredicate = false))(5)
     t.cells.flatten.foreach(c => assert(c.nPos == c.nSampled))
   }
 

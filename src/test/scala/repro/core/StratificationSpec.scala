@@ -1,7 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.util.Rng
+import repro.util.{Rng, Stats}
 
 class StratificationSpec extends AnyFunSuite {
 
@@ -26,7 +26,7 @@ class StratificationSpec extends AnyFunSuite {
     assert(strata.flatten.toSet.size == 5000)
     // each stratum's proxies respect the boundary intervals
     strata.zipWithIndex.foreach { case (idxs, k) =>
-      idxs.foreach(i => assert(Stratification.assign(ds.proxy(i.toInt), b) == k))
+      idxs.foreach(i => assert(Stats.stratumOf(ds.proxy(i.toInt), b) == k))
     }
   }
 
@@ -40,18 +40,18 @@ class StratificationSpec extends AnyFunSuite {
 
   test("smooth with alpha=1 returns the newest boundaries") {
     val h = Seq(Array(0.1, 0.2), Array(0.4, 0.6))
-    assert(Stratification.smooth(h, 1.0).toSeq == Seq(0.4, 0.6))
+    assert(Stats.ewmaVec(h, 1.0).toSeq == Seq(0.4, 0.6))
   }
 
   test("smooth with alpha=0 averages the history") {
     val h = Seq(Array(0.0, 0.2), Array(0.4, 0.6))
-    val s = Stratification.smooth(h, 0.0)
+    val s = Stats.ewmaVec(h, 0.0)
     assert(math.abs(s(0) - 0.2) < 1e-12 && math.abs(s(1) - 0.4) < 1e-12)
   }
 
   test("smoothed boundaries of sorted histories stay sorted") {
     val h = Seq(Array(0.1, 0.5), Array(0.3, 0.4), Array(0.2, 0.9))
-    val s = Stratification.smooth(h, 0.8)
+    val s = Stats.ewmaVec(h, 0.8)
     assert(s(0) <= s(1))
   }
 

@@ -77,7 +77,8 @@ class TheorySpec extends AnyFunSuite {
     val strata = Stratification.split(ds, 0 until n, Array(1.0 / 3, 2.0 / 3))
     val aStar = Allocation.optimal(strata.map(_.size.toLong), p, sigma)
 
-    val trials = (1 to 60).map(s => new InQuest(params).runTraced(ds, query, s.toLong))
+    val traced = new InQuest(params).prepareTraced(ds, query)
+    val trials = (1 to 60).map(s => traced(s.toLong))
     def allocError(segIdx: Int): Double = Stats.mean(trials.map { tr =>
       val c = tr.countsPerSegment(segIdx).map(_.toDouble)
       val a = c.map(_ / c.sum)
@@ -136,12 +137,12 @@ class TheorySpec extends AnyFunSuite {
     val query = QueryConfig(AggFunc.Avg, usePredicate = false, segLen, budgetPerSegment = 100)
 
     val withDef = new InQuest(InQuestParams(k = 2, defensiveFraction = 0.1))
-      .runTraced(ds, query, 3)
+      .prepareTraced(ds, query)(3)
     // every post-pilot segment keeps at least N1/K samples in stratum 1
     withDef.countsPerSegment.foreach(c => assert(c(1) >= 5, s"starved: ${c.toSeq}"))
 
     val noDef = new InQuest(InQuestParams(k = 2, defensiveFraction = 0.0))
-      .runTraced(ds, query, 3)
+      .prepareTraced(ds, query)(3)
     // without defense, the constant early segments drive stratum 1 to ~0
     assert(noDef.countsPerSegment(1)(1) <= 2,
       s"expected starvation without defense: ${noDef.countsPerSegment(1).toSeq}")

@@ -46,7 +46,7 @@ class SparkInQuestSpec extends SparkSpec {
   /** `cat` is the local engine's trace and estimates on `d`. */
   private def assertLocalTrace(cat: InQuest.Trace, d: StreamDataset, q: QueryConfig, seed: Long,
                                params: InQuestParams = InQuestParams()): Unit = {
-    val local = new InQuest(params).runTraced(d, q, seed)
+    val local = new InQuest(params).prepareTraced(d, q)(seed)
     assert(cat.boundariesPerSegment.map(_.toSeq) == local.boundariesPerSegment.map(_.toSeq))
     assert(cat.countsPerSegment.map(_.toSeq) == local.countsPerSegment.map(_.toSeq))
     assert(cat.rawAllocations.map(_.length) == local.rawAllocations.map(_.length))
