@@ -12,7 +12,7 @@ import scala.collection.immutable.ArraySeq
   *
   *   1. stratify the whole dataset into K equal-count strata by proxy
   *      quantiles;
-  *   2. pilot stage — spend `pilotFraction` of the total budget NT,
+  *   2. pilot stage — spend 15 % of the total budget NT,
   *      uniformly per stratum, to estimate p̂_k and σ̂_k;
   *   3. allocate the remaining budget ∝ |D_k|·√p̂_k·σ̂_k (the same optimal
   *      form as InQuest's Proposition 1);
@@ -23,13 +23,8 @@ import scala.collection.immutable.ArraySeq
   * restrict ABae's samples to each segment, exactly as §5.2 describes
   * ("selecting the subset of ABae's oracle samples within each segment").
   */
-final class ABae(
-    k: Int = 3,
-    pilotFraction: Double = 0.15,
-) extends StreamAlgorithm {
+final class ABae(k: Int = 3) extends StreamAlgorithm {
   require(k >= 1, s"need at least one stratum, got $k")
-  require(pilotFraction > 0 && pilotFraction < 1,
-    s"pilot fraction must be in (0,1), got $pilotFraction")
   override def name: String = "abae"
 
   /** The plan: the global strata, in ascending `idx` order, and
@@ -44,7 +39,7 @@ final class ABae(
     val sizes = strata.map(_.length.toLong)
     val sizeDtk = Array.ofDim[Long](nSegments, k)
     for (s <- 0 until k; i <- strata(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
-    val pilotBudget = math.max(k, math.round(totalBudget * pilotFraction).toInt)
+    val pilotBudget = math.max(k, math.round(totalBudget * ABae.PilotFraction).toInt)
     val pilotPer = Stats.largestRemainder(Array.fill(k)(1.0), pilotBudget)
 
     trialSeed => {
@@ -82,6 +77,8 @@ final class ABae(
 }
 
 object ABae {
+  /** Share of the total budget NT spent on the pilot stage. */
+  val PilotFraction: Double = 0.15
   val PilotTag: Long = 0xABAE_001L
   val Stage2Tag: Long = 0xABAE_002L
 

@@ -10,22 +10,12 @@ object Allocation {
 
   /** The previous segment's raw optimal-allocation estimate
     * `a_{t−1,k} = ŵ_{t−1,k}·σ̂_{t−1,k} / Σ_j ŵ_{t−1,j}·σ̂_{t−1,j}` with
-    * `ŵ = √p̂ · |D_{t−1,k}|/|D_{t−1}|` (Algorithm 2 lines 7–13).
-    *
-    * Degenerate guard (DESIGN.md §6): if every ŵ·σ̂ is zero — e.g. no
-    * predicate-matching samples anywhere, or all strata constant — fall
-    * back to the uniform allocation 1/K rather than dividing by zero.
+    * `ŵ = √p̂ · |D_{t−1,k}|/|D_{t−1}|` (Algorithm 2 lines 7–13): the
+    * [[optimal]] allocation at the cells' p̂ and σ̂.
     */
   def rawAllocation(stats: Seq[StratumStats]): Array[Double] = {
     require(stats.nonEmpty, "rawAllocation of empty stats")
-    val sizeD = stats.map(_.sizeD.toDouble).sum
-    val wSigma = stats.map { s =>
-      val w = if (sizeD == 0) 0.0 else math.sqrt(s.pHat) * s.sizeD / sizeD
-      w * s.stdHat
-    }.toArray
-    val denom = wSigma.sum
-    if (denom <= 0) Array.fill(stats.size)(1.0 / stats.size)
-    else wSigma.map(_ / denom)
+    optimal(stats.map(_.sizeD).toArray, stats.map(_.pHat).toArray, stats.map(_.stdHat).toArray)
   }
 
   /** `â_t = EWMA({a_1 … a_{t−1}}, α)`, renormalized (EWMA of simplex
@@ -90,9 +80,13 @@ object Allocation {
     (n1, n - n1)
   }
 
-  /** Closed-form optimal allocation a*_tk of Proposition 1, used by the
-    * theory tests: `a*_tk ∝ |D_tk|·√p_tk·σ_tk` (dropping the −N1/(N2·K)
-    * defensive correction, i.e. the N1 = 0 form).
+  /** Closed-form optimal allocation a*_tk of Proposition 1:
+    * `a*_tk ∝ |D_tk|·√p_tk·σ_tk` (dropping the −N1/(N2·K) defensive
+    * correction, i.e. the N1 = 0 form).
+    *
+    * Degenerate guard (DESIGN.md §6): if every term is zero — e.g. no
+    * predicate-matching samples anywhere, or all strata constant — fall
+    * back to the uniform allocation 1/K rather than dividing by zero.
     */
   def optimal(sizeD: Array[Long], p: Array[Double], sigma: Array[Double]): Array[Double] = {
     val raw = Array.tabulate(sizeD.length)(k => sizeD(k) * math.sqrt(p(k)) * sigma(k))

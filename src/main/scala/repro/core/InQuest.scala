@@ -25,9 +25,10 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
   override def name: String = "inquest"
 
   /** [[prepare]], with the internals for the lesion study and theory
-    * tests: each trial returns its [[InQuest.Trace]].
+    * tests: each trial returns its finished [[InQuest.Session]], whose
+    * `steps` hold one [[InQuest.Step]] per segment.
     */
-  def prepareTraced(ds: StreamDataset, query: QueryConfig): Long => InQuest.Trace = {
+  def prepareTraced(ds: StreamDataset, query: QueryConfig): Long => InQuest.Session = {
     val planner = new InQuest.Planner(params)
     val plans = ds.segments(query.segmentLength).map { seg =>
       val (idx, proxy) = ds.keys(seg)
@@ -40,7 +41,7 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
       val observe: InQuest.Oracle = (cells, _) =>
         cells.map { case (sizeD, idxs) => oracle.cell(sizeD, idxs, query.usePredicate) }
       plans.foreach(session.step(_, observe))
-      session.trace
+      session
     }
   }
 
@@ -61,18 +62,13 @@ object InQuest {
     */
   type Oracle = (Seq[(Long, Array[Long])], Long) => Seq[StratumStats]
 
-  /** Run result plus internals for white-box tests and the lesion study;
-    * `boundariesPerSegment` holds Ŝ_t of every post-pilot segment.
+  /** What one pass of the Algorithm 1 loop leaves behind for segment `t`.
+    * For the pilot (`t` = 0): its own quantiles S_1, its single stratum,
+    * and a_1 from its samples' shares in S_1's strata. For every later
+    * segment: Ŝ_t, the K cells GetPrediction reads, and a_t, which the
+    * next GetAlloc smooths. A segment's counts are `cells.map(_.nSampled)`.
     */
-  final case class Trace(
-      result: RunResult,
-      cells: Seq[Seq[StratumStats]],
-      boundariesPerSegment: Seq[Array[Double]],
-      rawAllocations: Seq[Array[Double]],
-  ) {
-    /** Samples per stratum of every post-pilot segment. */
-    def countsPerSegment: Seq[Array[Int]] = cells.drop(1).map(_.map(_.nSampled).toArray)
-  }
+  final case class Step(t: Int, boundaries: Array[Double], cells: Seq[StratumStats], rawAllocation: Array[Double])
 
   /** The trial-invariant half of segment `t`: its strata, which depend on
     * the proxies alone. `boundaries` are the segment's own quantiles S_1
@@ -137,15 +133,13 @@ object InQuest {
   final class Session(params: InQuestParams, query: QueryConfig, trialSeed: Long) {
     private val n = query.budgetPerSegment
     private val (n1, n2) = Allocation.splitBudget(n, params.defensiveFraction)
-    private var allocHistory = Vector.empty[Array[Double]]
-    private var cells = Vector.empty[Seq[StratumStats]]
-    private var boundaries = Vector.empty[Array[Double]]
+    private var history = Vector.empty[Step]
 
     /** Process the next segment from its plan; `oracle` is called once.
-      * Returns the segment's cells.
+      * Returns the segment's [[Step]].
       */
-    def step(plan: SegmentPlan, oracle: Oracle): Seq[StratumStats] = {
-      val t = cells.size
+    def step(plan: SegmentPlan, oracle: Oracle): Step = {
+      val t = history.size
       require(plan.t == t, s"plan of segment ${plan.t} given for segment $t")
       val sizes = plan.sizes
       val (segCells, allocCells) =
@@ -158,7 +152,7 @@ object InQuest {
             (sizes(k), sample.filter(java.util.Arrays.binarySearch(plan.strata(k), _) >= 0))), SampleTag)
           (obs.take(1), obs.tail)
         } else {
-          val aHat = Allocation.smooth(allocHistory, params.alpha)
+          val aHat = Allocation.smooth(history.map(_.rawAllocation), params.alpha)
           val c = Allocation.capToSizes(Allocation.sampleCounts(aHat, n1, n2), sizes)
           val tag = SampleTag + t + 1
           val obs = oracle(sizes.indices.map(k =>
@@ -168,17 +162,20 @@ object InQuest {
 
       val segCalls = segCells.map(_.nSampled.toLong).sum
       require(segCalls <= n, s"oracle budget exceeded in segment $t: $segCalls > $n")
-      if (t > 0) boundaries :+= plan.boundaries
-      allocHistory :+= Allocation.rawAllocation(allocCells)
-      cells :+= segCells
-      segCells
+      val record = Step(t, plan.boundaries, segCells, Allocation.rawAllocation(allocCells))
+      history :+= record
+      record
     }
 
-    def result: RunResult = RunResult(
-      cells.map(Estimator.segmentEstimate(_, query.agg)).toArray,
-      Estimator.cumulativeEstimate(cells, query.agg),
-      cells.flatten.map(_.nSampled.toLong).sum)
+    /** One [[Step]] per segment processed so far, the pilot first. */
+    def steps: Vector[Step] = history
 
-    def trace: Trace = Trace(result, cells, boundaries, allocHistory)
+    def result: RunResult = {
+      val cells = history.map(_.cells)
+      RunResult(
+        cells.map(Estimator.segmentEstimate(_, query.agg)).toArray,
+        Estimator.cumulativeEstimate(cells, query.agg),
+        cells.flatten.map(_.nSampled.toLong).sum)
+    }
   }
 }

@@ -50,7 +50,12 @@ final case class ParsedQuery(
     QueryConfig(
       agg = agg,
       usePredicate = predicate.isDefined,
-      segmentLength = window.toRecords(recordsPerSecond).toInt,
+      segmentLength = {
+        val n = window.toRecords(recordsPerSecond)
+        require(n <= Int.MaxValue,
+          s"window '${window.value} ${window.unit}' spans $n records, more than ${Int.MaxValue}")
+        n.toInt
+      },
       budgetPerSegment = oracleLimit,
     )
 }

@@ -61,18 +61,18 @@ final class StreamingInQuest(
       .start()
 
   /** Process the next tumbling segment; `segment` must hold exactly that
-    * segment's records. Returns the segment's cells, or `None` when
-    * `segment` holds no records. A batch that holds no records or fails
-    * changes no state, so it can be retried. Also callable directly from a
-    * user-managed `foreachBatch` closure.
+    * segment's records. Returns the segment's [[InQuest.Step]], or `None`
+    * when `segment` holds no records. A batch that holds no records or
+    * fails changes no state, so it can be retried. Also callable directly
+    * from a user-managed `foreachBatch` closure.
     */
-  def processBatch(segment: DataFrame): Option[Seq[StratumStats]] = synchronized {
+  def processBatch(segment: DataFrame): Option[InQuest.Step] = synchronized {
     val (idx, proxy) = collectKeys(segment)
     if (idx.isEmpty) None
     else {
-      val cells = planner.add(idx, proxy)(session.step(_, invokeOracle(segment)))
+      val step = planner.add(idx, proxy)(session.step(_, invokeOracle(segment)))
       latest = Some(session.result.finalEstimate)
-      Some(cells)
+      Some(step)
     }
   }
 
@@ -81,7 +81,7 @@ final class StreamingInQuest(
 
   def result: RunResult = session.result
 
-  def trace: InQuest.Trace = session.trace
+  def steps: Vector[InQuest.Step] = session.steps
 
   /** Action 1: every record's `(idx, proxy)`. Non-finite proxies are
     * rejected, naming the smallest bad `idx`.

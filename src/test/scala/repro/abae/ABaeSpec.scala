@@ -54,11 +54,6 @@ class ABaeSpec extends AnyFunSuite {
     assert(a < u, s"ABae rmse $a not below uniform $u")
   }
 
-  test("pilot fraction is validated") {
-    assertThrows[IllegalArgumentException](new ABae(pilotFraction = 0.0))
-    assertThrows[IllegalArgumentException](new ABae(pilotFraction = 1.0))
-  }
-
   test("no-predicate queries run and stay near truth") {
     val q = query.copy(usePredicate = false)
     val truth = ds.truthOverall(usePredicate = false)

@@ -41,16 +41,27 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("trace exposes K strata boundaries and counts per post-pilot segment") {
-    val t = new InQuest(InQuestParams(k = 3)).prepareTraced(ds, query)(1)
-    assert(t.boundariesPerSegment.size == 4) // segments 2..5
-    t.boundariesPerSegment.foreach(b => assert(b.length == 2))
-    t.countsPerSegment.foreach { c =>
-      assert(c.length == 3)
-      assert(c.sum == query.budgetPerSegment)
+    val steps = new InQuest(InQuestParams(k = 3)).prepareTraced(ds, query)(1).steps
+    assert(steps.size == 5)
+    steps.foreach(s => assert(s.boundaries.length == 2 && s.rawAllocation.length == 3))
+    assert(steps.head.cells.size == 1) // pilot is a single stratum
+    steps.tail.foreach { s =>
+      assert(s.cells.size == 3)
+      assert(s.cells.map(_.nSampled).sum == query.budgetPerSegment)
     }
-    assert(t.cells.size == 5)
-    assert(t.cells.head.size == 1) // pilot is a single stratum
-    t.cells.tail.foreach(cs => assert(cs.size == 3))
+  }
+
+  test("steps: t is the position, boundaries are S_1 then Ŝ_t, post-pilot counts sum to N") {
+    val params = InQuestParams(k = 3)
+    val steps = new InQuest(params).prepareTraced(ds, query)(1).steps
+    val own = ds.segments(query.segmentLength).map(seg => Stratification.quantileStrata(seg.map(ds.proxy), 3))
+    assert(steps.size == own.size)
+    steps.zipWithIndex.foreach { case (s, t) => assert(s.t == t) }
+    assert(steps.head.boundaries.toSeq == own.head.toSeq)
+    steps.tail.foreach { s =>
+      assert(s.boundaries.toSeq == Stats.ewmaVec(own.take(s.t), params.alpha).toSeq, s"segment ${s.t}")
+      assert(s.cells.map(_.nSampled).sum == query.budgetPerSegment, s"segment ${s.t}")
+    }
   }
 
   test("Planner.add: shuffled keys give equal boundaries and equal, ascending strata in every segment") {
@@ -72,10 +83,10 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("defensive floor guarantees samples in every stratum after the pilot") {
-    val t = new InQuest(InQuestParams(defensiveFraction = 0.1)).prepareTraced(ds, query)(3)
-    t.countsPerSegment.foreach { c =>
+    val steps = new InQuest(InQuestParams(defensiveFraction = 0.1)).prepareTraced(ds, query)(3).steps
+    steps.tail.map(_.cells.map(_.nSampled)).foreach { c =>
       // N1 = 10, K = 3 → at least 3 per stratum
-      assert(c.forall(_ >= 3), s"stratum starved: ${c.toSeq}")
+      assert(c.forall(_ >= 3), s"stratum starved: $c")
     }
   }
 
@@ -103,8 +114,8 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("no-predicate queries treat every record as matching") {
-    val t = new InQuest().prepareTraced(ds, query.copy(usePredicate = false))(5)
-    t.cells.flatten.foreach(c => assert(c.nPos == c.nSampled))
+    val steps = new InQuest().prepareTraced(ds, query.copy(usePredicate = false))(5).steps
+    steps.flatMap(_.cells).foreach(c => assert(c.nPos == c.nSampled))
   }
 
   test("K=1 degenerates to per-segment uniform sampling") {

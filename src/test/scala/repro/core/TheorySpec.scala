@@ -79,13 +79,13 @@ class TheorySpec extends AnyFunSuite {
 
     val traced = new InQuest(params).prepareTraced(ds, query)
     val trials = (1 to 60).map(s => traced(s.toLong))
-    def allocError(segIdx: Int): Double = Stats.mean(trials.map { tr =>
-      val c = tr.countsPerSegment(segIdx).map(_.toDouble)
+    def allocError(t: Int): Double = Stats.mean(trials.map { tr =>
+      val c = tr.steps(t).cells.map(_.nSampled.toDouble)
       val a = c.map(_ / c.sum)
       a.zip(aStar).map { case (x, y) => val d = x - y; d * d }.sum // Σ (x−y)²
     })
-    val early = allocError(0)
-    val late = allocError(trials.head.countsPerSegment.size - 1)
+    val early = allocError(1) // the first post-pilot segment
+    val late = allocError(trials.head.steps.size - 1)
     assert(late < early * 1.1,
       s"allocation error grew over time: early=$early late=$late")
     // and the final allocation is meaningfully close to optimal
@@ -139,12 +139,12 @@ class TheorySpec extends AnyFunSuite {
     val withDef = new InQuest(InQuestParams(k = 2, defensiveFraction = 0.1))
       .prepareTraced(ds, query)(3)
     // every post-pilot segment keeps at least N1/K samples in stratum 1
-    withDef.countsPerSegment.foreach(c => assert(c(1) >= 5, s"starved: ${c.toSeq}"))
+    withDef.steps.tail.foreach(s => assert(s.cells(1).nSampled >= 5, s"starved: ${s.cells.map(_.nSampled)}"))
 
     val noDef = new InQuest(InQuestParams(k = 2, defensiveFraction = 0.0))
       .prepareTraced(ds, query)(3)
     // without defense, the constant early segments drive stratum 1 to ~0
-    assert(noDef.countsPerSegment(1)(1) <= 2,
-      s"expected starvation without defense: ${noDef.countsPerSegment(1).toSeq}")
+    val second = noDef.steps(2).cells.map(_.nSampled) // the second post-pilot segment
+    assert(second(1) <= 2, s"expected starvation without defense: $second")
   }
 }

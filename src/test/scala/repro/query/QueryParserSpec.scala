@@ -82,6 +82,13 @@ class QueryParserSpec extends AnyFunSuite {
     assert(q.toQueryConfig(recordsPerSecond = 100).usePredicate)
   }
 
+  test("a window of more than Int.MaxValue records is rejected, not wrapped") {
+    val q = QueryParser.parse(
+      "SELECT AVG(f(x)) FROM d TUMBLE(idx, INTERVAL '4,294,967,396' RECORDS) ORACLE LIMIT 10 USING p")
+    val e = intercept[IllegalArgumentException](q.toQueryConfig())
+    assert(e.getMessage.contains("4294967396 RECORDS"), e.getMessage)
+  }
+
   test("time-based interval without a rate is rejected") {
     val q = QueryParser.parse(twitterQuery)
     assertThrows[IllegalArgumentException](q.toQueryConfig())

@@ -23,38 +23,42 @@ class SparkInQuestSpec extends SparkSpec {
     segmentLength = 1200, budgetPerSegment = 60)
 
   /** The Catalyst engine stepped over `df`, one `processBatch` per
-    * segment of `d`.
+    * segment of `d`; each batch returns the step the engine then holds.
     */
   private def catalyst(d: StreamDataset, df: DataFrame, q: QueryConfig, seed: Long,
                        params: InQuestParams = InQuestParams()): StreamingInQuest = {
     val engine = new StreamingInQuest(params, q, seed)
-    d.segments(q.segmentLength).foreach(seg =>
-      engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end)))
+    d.segments(q.segmentLength).foreach { seg =>
+      val step = engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end))
+      assert(step.contains(engine.steps.last), s"segment ${engine.steps.size - 1}")
+    }
     engine
   }
 
-  /** Both engines on `d`: the same per-segment trace (boundaries, counts,
-    * raw allocations, cell sizes and sample counts) and the same
-    * estimates, within the per-segment budget. The Catalyst side reads a
-    * DataFrame shuffled into `partitions`, so its keys arrive out of `idx`
-    * order.
+  /** Both engines on `d`: the same steps (boundaries, raw allocations,
+    * cell sizes and sample counts) and the same estimates, within the
+    * per-segment budget. The Catalyst side reads a DataFrame shuffled into
+    * `partitions`, so its keys arrive out of `idx` order.
     */
   private def assertSameTrace(d: StreamDataset, q: QueryConfig, seed: Long,
                               params: InQuestParams = InQuestParams(), partitions: Int = 3): Unit =
-    assertLocalTrace(catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params).trace, d, q, seed, params)
+    assertLocalTrace(catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params), d, q, seed, params)
 
-  /** `cat` is the local engine's trace and estimates on `d`. */
-  private def assertLocalTrace(cat: InQuest.Trace, d: StreamDataset, q: QueryConfig, seed: Long,
+  /** `cat` holds the local engine's steps and estimates on `d`. */
+  private def assertLocalTrace(cat: StreamingInQuest, d: StreamDataset, q: QueryConfig, seed: Long,
                                params: InQuestParams = InQuestParams()): Unit = {
     val local = new InQuest(params).prepareTraced(d, q)(seed)
-    assert(cat.boundariesPerSegment.map(_.toSeq) == local.boundariesPerSegment.map(_.toSeq))
-    assert(cat.countsPerSegment.map(_.toSeq) == local.countsPerSegment.map(_.toSeq))
-    assert(cat.rawAllocations.map(_.length) == local.rawAllocations.map(_.length))
-    cat.rawAllocations.flatten.zip(local.rawAllocations.flatten).foreach { case (c, l) =>
-      assert(math.abs(c - l) < 1e-9, s"raw allocation mismatch: $c vs $l")
+    assert(cat.steps.size == local.steps.size)
+    cat.steps.zip(local.steps).foreach { case (c, l) =>
+      assert(c.t == l.t)
+      assert(c.boundaries.toSeq == l.boundaries.toSeq, s"segment ${l.t}")
+      assert(c.cells.map(x => (x.sizeD, x.nSampled, x.nPos)) == l.cells.map(x => (x.sizeD, x.nSampled, x.nPos)),
+        s"segment ${l.t}")
+      assert(c.rawAllocation.length == l.rawAllocation.length)
+      c.rawAllocation.zip(l.rawAllocation).foreach { case (x, y) =>
+        assert(math.abs(x - y) < 1e-9, s"raw allocation mismatch in segment ${l.t}: $x vs $y")
+      }
     }
-    def shape(t: InQuest.Trace) = t.cells.map(_.map(c => (c.sizeD, c.nSampled, c.nPos)))
-    assert(shape(cat) == shape(local))
     (cat.result.perSegment :+ cat.result.finalEstimate)
       .zip(local.result.perSegment :+ local.result.finalEstimate).foreach { case (c, l) =>
         assert(math.abs(c - l) < 1e-9, s"estimate mismatch: $c vs $l")
@@ -183,7 +187,7 @@ class SparkInQuestSpec extends SparkSpec {
       }
       engine.processBatch(batch)
     }
-    assertLocalTrace(engine.trace, ds, query, 5L)
+    assertLocalTrace(engine, ds, query, 5L)
   }
 
   test("an empty segment changes nothing") {
