@@ -21,7 +21,7 @@ class Table3Bench extends AnyFunSuite {
 
   test("Table 3: print RMSE summary (no predicate)") {
     println("=== Table 3: RMSE summary, no predicate ===")
-    println(Tables.renderRmseSummary(summary))
+    println(Tables.render(summary))
     assert(summary.detail.size == 6 * 3 * 4)
   }
 

@@ -17,7 +17,7 @@ class Table4Bench extends AnyFunSuite {
 
   test("Table 4: print RMSE summary (with predicate)") {
     println("=== Table 4: RMSE summary, with predicate ===")
-    println(Tables.renderRmseSummary(summary))
+    println(Tables.render(summary))
     assert(summary.detail.size == 6 * 3 * 4)
   }
 

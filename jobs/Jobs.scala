@@ -3,15 +3,25 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.eval.Tables
 
-/** Shared SparkSession bootstrap for the spark-submit entrypoints. */
+/** The shared body of the spark-submit entrypoints that run a sweep. */
 object JobSession {
-  def create(app: String): SparkSession =
-    SparkSession.builder
+
+  /** Compute `summary` on a new session named `app`, print it under
+    * `title`, then stop the session.
+    */
+  def printSummary(app: String, title: String)(summary: SparkSession => Tables.Summary): Unit = {
+    val spark = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", 64)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
+    try {
+      val s = summary(spark)
+      println(title)
+      println(Tables.render(s))
+    } finally spark.stop()
+  }
 }
 
 /** Table 2 — dataset summary (predicate positivity p, proxy correlation r)
@@ -32,26 +42,16 @@ object Table2Job {
   * plus InQuest's improvement factors over each baseline.
   */
 object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("inquest-table3")
-    try {
-      val s = Tables.rmseSummary(spark, usePredicate = false, Tables.Scale.fromEnv())
-      println("=== Table 3: RMSE summary, no predicate ===")
-      println(Tables.renderRmseSummary(s))
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.printSummary("inquest-table3", "=== Table 3: RMSE summary, no predicate ===")(
+      Tables.rmseSummary(_, usePredicate = false, Tables.Scale.fromEnv()))
 }
 
 /** Table 4 — RMSE summary for the evaluation queries *with* a predicate. */
 object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("inquest-table4")
-    try {
-      val s = Tables.rmseSummary(spark, usePredicate = true, Tables.Scale.fromEnv())
-      println("=== Table 4: RMSE summary, with predicate ===")
-      println(Tables.renderRmseSummary(s))
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.printSummary("inquest-table4", "=== Table 4: RMSE summary, with predicate ===")(
+      Tables.rmseSummary(_, usePredicate = true, Tables.Scale.fromEnv()))
 }
 
 /** §5.6 / Figure 11 — adversarial stream-parameter shifts (numeric
@@ -59,12 +59,7 @@ object Table4Job {
   * 0.99×–1.03× of ABae).
   */
 object AdversarialJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("inquest-adversarial")
-    try {
-      val s = Tables.adversarial(spark, Tables.Scale.fromEnv())
-      println("=== Adversarial shifts (Figure 11 claims) ===")
-      println(Tables.renderAdversarial(s))
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    JobSession.printSummary("inquest-adversarial", "=== Adversarial shifts (Figure 11 claims) ===")(
+      Tables.adversarial(_, Tables.Scale.fromEnv()))
 }

@@ -61,13 +61,16 @@ final case class StreamDataset(
   def truthOverall(usePredicate: Boolean, agg: AggFunc = AggFunc.Avg): Double =
     truth(0 until length, usePredicate, agg)
 
+  /** The census cell of `records`: every record observed, in ascending
+    * `idx`, through the same fold as a sampled cell.
+    */
   private def truth(records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
-    val matching = records.filter(i => !usePredicate || predicate(i))
+    val census = StratumStats.fromSamples(records.size,
+      records.map(i => (statistic(i), !usePredicate || predicate(i))))
     agg match {
-      case AggFunc.Avg =>
-        if (matching.isEmpty) 0.0 else matching.map(statistic).sum / matching.size
-      case AggFunc.Sum   => matching.map(statistic).sum
-      case AggFunc.Count => matching.size.toDouble
+      case AggFunc.Avg   => census.muHat
+      case AggFunc.Sum   => census.sumF
+      case AggFunc.Count => census.nPos.toDouble
     }
   }
 }

@@ -12,7 +12,9 @@ import repro.core._
 object Algorithms {
   val All: Seq[String] = Seq("uniform", "stratified", "abae", "inquest")
 
-  def byName(name: String, params: InQuestParams = InQuestParams()): StreamAlgorithm =
+  private val params = InQuestParams()
+
+  def byName(name: String): StreamAlgorithm =
     name match {
       case "uniform"    => new UniformSampling
       case "stratified" => new FixedStratified(params.k)

@@ -52,111 +52,97 @@ object Tables {
   }
 
   // ------------------------------------------------------------------
-  // Tables 3 & 4: RMSE summaries. For each total budget NT the cell is
-  // the geometric mean across datasets of the mean (over trials) of each
-  // trial's median segment error; "All" is the geomean over the budget
-  // columns. Improvement rows are baseline / InQuest.
+  // Tables 3 & 4 and the adversarial-shift experiment (§5.6 / Figure 11,
+  // numeric claims) are one sweep: every algorithm at each point, each
+  // algorithm's mean (over trials) of each trial's median segment error
+  // combined per column. Improvement rows are baseline / InQuest.
   // ------------------------------------------------------------------
   val Budgets: Seq[Int] = Seq(500, 2500, 5000)
 
-  final case class RmseSummary(
-      budgets: Seq[Int],
-      // algorithm -> (budget -> geomean RMSE across datasets), plus "All"
+  /** One experiment's table. `rmse(algorithm)(column)` holds every
+    * algorithm of `Algorithms.All` in every column; `prefix` heads each
+    * column (`NT=` for budgets, `n=` for shift counts); `detail` holds the
+    * evaluated points in sweep order.
+    */
+  final case class Summary(
+      prefix: String,
+      columns: Seq[String],
       rmse: Map[String, Map[String, Double]],
-      // per-(dataset, algorithm, budget) detail for EXPERIMENTS.md
       detail: Seq[EvalPoint],
-  )
+  ) {
+    def improvementOver(algo: String, column: String): Double =
+      rmse(algo)(column) / rmse("inquest")(column)
+  }
 
+  /** Evaluate every algorithm at each `(column, stream, query, baseSeed)`
+    * point, in order, and combine each algorithm's `meanTrialMedianError`s
+    * per column, in point order. Columns keep their first-seen order. A
+    * stream is held only while the sweep is at its points.
+    */
+  private def sweep(
+      spark: SparkSession,
+      prefix: String,
+      trials: Int,
+      points: Iterator[(String, StreamDataset, QueryConfig, Long)],
+      combine: Seq[Double] => Double,
+  ): Summary = {
+    val evaluated = points.flatMap { case (column, ds, query, baseSeed) =>
+      Algorithms.All.map(a => column -> Runner.evaluate(spark, ds, a, query, trials, baseSeed))
+    }.toVector
+    val columns = evaluated.map(_._1).distinct
+    val rmse = Algorithms.All.map { a =>
+      a -> columns.map { c =>
+        c -> combine(evaluated.collect { case (`c`, p) if p.algorithm == a => p.meanTrialMedianError })
+      }.toMap
+    }.toMap
+    Summary(prefix, columns, rmse, evaluated.map(_._2))
+  }
+
+  /** Tables 3 & 4: for each total budget NT, the geometric mean across
+    * datasets; "All" is the geomean over the budget columns.
+    */
   def rmseSummary(
       spark: SparkSession,
       usePredicate: Boolean,
       scale: Scale,
       seed: Long = 7,
-  ): RmseSummary = {
+  ): Summary = {
     val segLen = math.max(1, scale.length / 5)
-    val detail =
-      for {
-        name <- Datasets.names
-        ds = Datasets.generate(name, scale.length, seed)
-        budget <- Budgets
-        algo <- Algorithms.All
-      } yield {
-        val query = QueryConfig(AggFunc.Avg, usePredicate, segLen,
-          budgetPerSegment = budget / 5)
-        Runner.evaluate(spark, ds, algo, query, scale.trials, baseSeed = seed * 100 + budget)
-      }
-
-    val byAlgo = Algorithms.All.map { algo =>
-      val perBudget = Budgets.map { b =>
-        val cells = detail.filter(p => p.algorithm == algo && p.totalBudget == b)
-        b.toString -> Stats.geomean(cells.map(_.meanTrialMedianError))
-      }.toMap
-      algo -> (perBudget + ("All" -> Stats.geomean(perBudget.values.toSeq)))
-    }.toMap
-    RmseSummary(Budgets, byAlgo, detail)
+    val points = for {
+      ds <- Datasets.names.iterator.map(Datasets.generate(_, scale.length, seed))
+      budget <- Budgets
+    } yield (budget.toString, ds,
+      QueryConfig(AggFunc.Avg, usePredicate, segLen, budgetPerSegment = budget / 5), seed * 100 + budget)
+    val s = sweep(spark, "NT=", scale.trials, points, Stats.geomean)
+    s.copy(columns = s.columns :+ "All",
+      rmse = s.rmse.map { case (a, byCol) => a -> (byCol + ("All" -> Stats.geomean(s.columns.map(byCol)))) })
   }
 
-  def renderRmseSummary(s: RmseSummary): String = {
-    val cols = s.budgets.map(_.toString) :+ "All"
-    val header = f"${"algorithm"}%-22s " + cols.map(c => f"${"NT=" + c}%10s").mkString(" ")
-    val rmseRows = Algorithms.All.map { a =>
-      f"RMSE_$a%-17s " + cols.map(c => f"${fmt(s.rmse(a)(c))}%10s").mkString(" ")
-    }
-    val improvements = Algorithms.All.filterNot(_ == "inquest").map { a =>
-      f"improvement vs $a%-7s " + cols.map { c =>
-        f"${s.rmse(a)(c) / s.rmse("inquest")(c)}%9.2fx"
-      }.mkString(" ")
-    }
-    (header +: (rmseRows ++ improvements)).mkString("\n")
-  }
-
-  // ------------------------------------------------------------------
-  // Adversarial-shift experiment (§5.6 / Figure 11, numeric claims):
-  // average median-segment RMSE per algorithm across the synthetic
-  // suite, by number of shifts n.
-  // ------------------------------------------------------------------
-  final case class AdversarialSummary(
-      // n -> algorithm -> mean across streams of meanTrialMedianError
-      byShift: Map[Int, Map[String, Double]],
-  ) {
-    def improvementOver(algo: String, n: Int): Double =
-      byShift(n)(algo) / byShift(n)("inquest")
-  }
-
+  /** §5.6: for each number of shifts n, the mean across the suite's
+    * streams.
+    */
   def adversarial(
       spark: SparkSession,
       scale: Scale,
       budgetTotal: Int = 2500,
       trials: Int = 50,
       seed: Long = 11,
-  ): AdversarialSummary = {
-    val segLen = math.max(1, scale.advLength / 5)
-    val suite = Datasets.adversarialSuite(scale.advLength, scale.advPerShift, seed)
-    val query = QueryConfig(AggFunc.Avg, usePredicate = true, segLen,
+  ): Summary = {
+    val query = QueryConfig(AggFunc.Avg, usePredicate = true, math.max(1, scale.advLength / 5),
       budgetPerSegment = budgetTotal / 5)
-    val points =
-      for {
-        (n, ds) <- suite
-        algo <- Algorithms.All
-      } yield (n, Runner.evaluate(spark, ds, algo, query, trials, baseSeed = seed + n))
-    val byShift = points.groupBy(_._1).map { case (n, ps) =>
-      n -> Algorithms.All.map { a =>
-        val xs = ps.collect { case (_, p) if p.algorithm == a => p.meanTrialMedianError }
-        a -> xs.sum / xs.size
-      }.toMap
-    }
-    AdversarialSummary(byShift)
+    val points = Datasets.adversarialSuite(scale.advLength, scale.advPerShift, seed).iterator
+      .map { case (n, ds) => (n.toString, ds, query, seed + n) }
+    sweep(spark, "n=", trials, points, xs => xs.sum / xs.size)
   }
 
-  def renderAdversarial(s: AdversarialSummary): String = {
-    val ns = s.byShift.keys.toSeq.sorted
-    val header = f"${"algorithm"}%-22s " + ns.map(n => f"${"n=" + n}%10s").mkString(" ")
-    val rows = Algorithms.All.map { a =>
-      f"RMSE_$a%-17s " + ns.map(n => f"${fmt(s.byShift(n)(a))}%10s").mkString(" ")
+  def render(s: Summary): String = {
+    val header = f"${"algorithm"}%-22s " + s.columns.map(c => f"${s.prefix + c}%10s").mkString(" ")
+    val rmseRows = Algorithms.All.map { a =>
+      f"RMSE_$a%-17s " + s.columns.map(c => f"${fmt(s.rmse(a)(c))}%10s").mkString(" ")
     }
-    val imp = Algorithms.All.filterNot(_ == "inquest").map { a =>
-      f"improvement vs $a%-7s " + ns.map(n => f"${s.improvementOver(a, n)}%9.2fx").mkString(" ")
+    val improvements = Algorithms.All.filterNot(_ == "inquest").map { a =>
+      f"improvement vs $a%-7s " + s.columns.map(c => f"${s.improvementOver(a, c)}%9.2fx").mkString(" ")
     }
-    (header +: (rows ++ imp)).mkString("\n")
+    (header +: (rmseRows ++ improvements)).mkString("\n")
   }
 }

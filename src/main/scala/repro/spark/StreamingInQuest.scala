@@ -37,7 +37,8 @@ final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predi
   * The source must deliver whole segments per batch (the tests feed a
   * `MemoryStream` one segment at a time; a production deployment would use
   * a rate/Kafka source with a segment-sized trigger). Records inside a
-  * batch may arrive in any order and partitioning.
+  * batch may arrive in any order and partitioning, but each only once: a
+  * batch that repeats an `idx` fails.
   */
 final class StreamingInQuest(
     params: InQuestParams,
@@ -83,8 +84,9 @@ final class StreamingInQuest(
 
   def steps: Vector[InQuest.Step] = session.steps
 
-  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies are
-    * rejected, naming the smallest bad `idx`.
+  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies and
+    * repeated `idx`s are rejected, naming the smallest bad `idx`: a
+    * repeated record would count twice in |D_tk| and in the sample.
     */
   private def collectKeys(segment: DataFrame): (Array[Long], Array[Double]) = {
     val rows = segment.select(col("idx"), col("proxy")).collect()
@@ -94,6 +96,11 @@ final class StreamingInQuest(
       val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx(_))
       s"non-finite proxy ${proxy(i)} at idx ${idx(i)}"
     })
+    val sorted = idx.clone()
+    java.util.Arrays.sort(sorted)
+    var j = 1
+    while (j < sorted.length && sorted(j) != sorted(j - 1)) j += 1
+    require(j >= sorted.length, s"idx ${sorted(j)} appears more than once in the segment")
     (idx, proxy)
   }
 

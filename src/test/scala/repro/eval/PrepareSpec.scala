@@ -1,6 +1,8 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.abae.ABae
+import repro.baselines.{FixedStratified, UniformSampling}
 import repro.core._
 import repro.data.StreamGen
 
@@ -14,12 +16,16 @@ class PrepareSpec extends AnyFunSuite {
     java.lang.Double.doubleToRawLongBits(r.finalEstimate),
     r.oracleCalls)
 
+  /** The four algorithms of `Algorithms.All`, built under `params`. */
+  private def algorithms(params: InQuestParams): Seq[() => StreamAlgorithm] = Seq(
+    () => new UniformSampling, () => new FixedStratified(params.k), () => new ABae(params.k),
+    () => new InQuest(params))
+
   private def assertReusable(ds: StreamDataset, q: QueryConfig, params: InQuestParams): Unit =
-    Algorithms.All.foreach { a =>
-      val algo = Algorithms.byName(a, params)
-      val trial = algo.prepare(ds, q)
+    algorithms(params).foreach { algo =>
+      val trial = algo().prepare(ds, q)
       (1L to 20L).foreach { seed =>
-        assert(bits(trial(seed)) == bits(Algorithms.byName(a, params).run(ds, q, seed)), s"$a seed $seed")
+        assert(bits(trial(seed)) == bits(algo().run(ds, q, seed)), s"${algo().name} seed $seed")
       }
     }
 

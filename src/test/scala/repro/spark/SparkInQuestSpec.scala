@@ -190,6 +190,22 @@ class SparkInQuestSpec extends SparkSpec {
     assertLocalTrace(engine, ds, query, 5L)
   }
 
+  test("a batch that repeats an idx fails, naming the smallest; its clean retry gives the local trace") {
+    val df = SparkData.toDF(spark, ds, partitions = 3)
+    val engine = new StreamingInQuest(InQuestParams(), query, 8L)
+    ds.segments(query.segmentLength).zipWithIndex.foreach { case (seg, t) =>
+      val batch = df.filter(col("idx") >= seg.start && col("idx") < seg.end)
+      if (t == 0 || t == 2) {
+        val repeated = batch.filter(col("idx") >= seg.start + 100 && col("idx") < seg.start + 150)
+        val e = intercept[IllegalArgumentException](engine.processBatch(batch.union(repeated)))
+        assert(e.getMessage.contains(s"idx ${seg.start + 100} appears more than once"), e.getMessage)
+        assert(engine.steps.size == t && engine.result.perSegment.length == t)
+      }
+      engine.processBatch(batch)
+    }
+    assertLocalTrace(engine, ds, query, 8L)
+  }
+
   test("an empty segment changes nothing") {
     val df = SparkData.toDF(spark, ds)
     val engine = new StreamingInQuest(InQuestParams(), query, 2L)
