@@ -25,14 +25,13 @@ import scala.collection.immutable.ArraySeq
   */
 final class ABae(k: Int = 3) extends StreamAlgorithm {
   require(k >= 1, s"need at least one stratum, got $k")
-  override def name: String = "abae"
 
   /** The plan: the global strata, in ascending `idx` order, and
     * |D_tk| per segment. Each trial draws the two stages on them.
     */
   override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
     val nSegments = ds.segments(query.segmentLength).size
-    val totalBudget = math.min(ds.length, query.budgetPerSegment * nSegments)
+    val totalBudget = math.min(ds.length.toLong, query.totalBudget(nSegments)).toInt
     val (idx, proxy) = ds.keys(0 until ds.length)
     val b = Stratification.quantileStrata(ArraySeq.unsafeWrapArray(proxy), k)
     val strata = Stratification.split(idx, proxy, b)
@@ -53,7 +52,11 @@ final class ABae(k: Int = 3) extends StreamAlgorithm {
       // Stage 2: allocate the rest by the estimated optimal allocation.
       val pilotStats = (0 until k).map(s => cell(sizes(s), pilot(s)))
       val alloc = Allocation.optimal(sizes, pilotStats.map(_.pHat).toArray, pilotStats.map(_.stdHat).toArray)
-      val stage2Counts = Stats.largestRemainder(alloc, totalBudget - pilot.map(_.length).sum)
+      // Capped at each stratum's unsampled records, the surplus spilled to
+      // the others: a budget of |D| samples every record.
+      val stage2Counts = Allocation.capToSizes(
+        Stats.largestRemainder(alloc, totalBudget - pilot.map(_.length).sum),
+        Array.tabulate(k)(s => sizes(s) - pilot(s).length))
       val stage2 = (0 until k).map { s =>
         Reservoir.bottomN(ABae.without(strata(s), pilot(s)), stage2Counts(s), trialSeed, ABae.Stage2Tag)
       }

@@ -16,7 +16,6 @@ import repro.util.Stats
   */
 final class FixedStratified(k: Int = 3) extends StreamAlgorithm {
   require(k >= 1, s"need at least one stratum, got $k")
-  override def name: String = "stratified"
 
   /** Interior boundaries of K equal-width strata on the proxy range [0,1]. */
   private val boundaries: Array[Double] = Array.tabulate(k - 1)(j => (j + 1).toDouble / k)
@@ -46,7 +45,7 @@ final class FixedStratified(k: Int = 3) extends StreamAlgorithm {
       }
 
       val perSegment = cellsPerSegment.map(cs => Estimator.segmentEstimate(cs, query.agg)).toArray
-      RunResult(perSegment, Estimator.cumulativeEstimate(cellsPerSegment, query.agg), oracle.totalCalls)
+      RunResult(perSegment, Estimator.estimate(cellsPerSegment.flatten, query.agg), oracle.totalCalls)
     }
   }
 }

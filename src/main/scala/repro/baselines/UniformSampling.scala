@@ -11,11 +11,9 @@ import repro.sampling.Reservoir
   * samples that landed in that segment.
   */
 final class UniformSampling extends StreamAlgorithm {
-  override def name: String = "uniform"
-
   override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = trialSeed => {
     val segs = ds.segments(query.segmentLength)
-    val totalBudget = math.min(ds.length, query.budgetPerSegment * segs.size)
+    val totalBudget = math.min(ds.length.toLong, query.totalBudget(segs.size)).toInt
     // No per-segment limit: the draw is uniform over the duration, so some
     // segments legitimately receive more than N samples (the total is N·T).
     val oracle = new OracleModel(ds, query.segmentLength, None)

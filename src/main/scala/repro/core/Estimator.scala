@@ -24,10 +24,6 @@ object Estimator {
   /** Per-segment estimate μ̂_t (the quantity the RMSE metric scores). */
   def segmentEstimate(cells: Seq[StratumStats], agg: AggFunc): Double = estimate(cells, agg)
 
-  /** Cumulative full-query estimate μ̂ over all processed segments. */
-  def cumulativeEstimate(perSegment: Seq[Seq[StratumStats]], agg: AggFunc): Double =
-    estimate(perSegment.flatten, agg)
-
   /** Normal-approximation confidence interval for the AVG estimator
     * (paper §3.2: the bootstrap and "a standard subgaussian tail bound …
     * give similar results"; the CLT interval is the deterministic

@@ -22,8 +22,6 @@ final case class InQuestParams(
   * them with the metered [[OracleModel]] as its oracle.
   */
 final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgorithm {
-  override def name: String = "inquest"
-
   /** [[prepare]], with the internals for the lesion study and theory
     * tests: each trial returns its finished [[InQuest.Session]], whose
     * `steps` hold one [[InQuest.Step]] per segment.
@@ -174,7 +172,7 @@ object InQuest {
       val cells = history.map(_.cells)
       RunResult(
         cells.map(Estimator.segmentEstimate(_, query.agg)).toArray,
-        Estimator.cumulativeEstimate(cells, query.agg),
+        Estimator.estimate(cells.flatten, query.agg),
         cells.flatten.map(_.nSampled.toLong).sum)
     }
   }

@@ -84,6 +84,11 @@ final case class QueryConfig(
 ) {
   require(segmentLength > 0, "segment length must be positive")
   require(budgetPerSegment > 0, "oracle budget must be positive")
+
+  /** The total budget N·T over `nSegments` segments, as a `Long`: the
+    * product of two `Int`s can exceed `Int.MaxValue`.
+    */
+  def totalBudget(nSegments: Int): Long = budgetPerSegment.toLong * nSegments
 }
 
 /** Sufficient statistics of one segment × stratum cell.
@@ -141,8 +146,6 @@ final case class RunResult(
   * split into a trial-invariant plan and a per-trial draw.
   */
 trait StreamAlgorithm extends Serializable {
-  def name: String
-
   /** Do the work that depends only on the data (strata, splits, sizes)
     * and return the trial function: trial seed to result. The function is
     * immutable and serializable, so one plan serves every Monte-Carlo

@@ -49,11 +49,12 @@ object Datasets {
   }
 
   /** The §5.6 benchmark suite: for each nShifts ∈ [1..5], `perShift`
-    * streams (paper: 20 → 100 datasets).
+    * streams (paper: 20 → 100 datasets), each generated when it is
+    * reached, so a consumer holds one stream at a time.
     */
-  def adversarialSuite(length: Int, perShift: Int, seed: Long = 11): Seq[(Int, StreamDataset)] =
+  def adversarialSuite(length: Int, perShift: Int, seed: Long = 11): Iterator[(Int, StreamDataset)] =
     for {
-      n <- 1 to 5
-      rep <- 0 until perShift
+      n <- Iterator.range(1, 6)
+      rep <- Iterator.range(0, perShift)
     } yield (n, StreamGen.adversarial(s"adv-n$n-r$rep", length, n, seed = seed + n * 1000 + rep))
 }

@@ -38,21 +38,20 @@ object StreamGen {
     normalize(raw)
   }
 
-  /** Solve for the β whose interpolated proxy has Pearson r = `targetR`
-    * against `g` (bisection on the monotone map β ↦ r).
+  /** The interpolated proxy whose Pearson r against `g` is `targetR`,
+    * with β found by bisection on the monotone map β ↦ r.
     */
-  def calibrateProxy(g: Array[Double], targetR: Double, seed: Long): (Array[Double], Double) = {
+  def calibrateProxy(g: Array[Double], targetR: Double, seed: Long): Array[Double] = {
     require(targetR > 0 && targetR < 1, s"target r must be in (0,1), got $targetR")
     var lo = 0.0; var hi = 1.0
     var proxy: Array[Double] = null
-    var beta = 0.5
     val gSeq = g.toSeq
     for (_ <- 0 until 30) {
-      beta = (lo + hi) / 2
+      val beta = (lo + hi) / 2
       proxy = interpolatedProxy(g, beta, seed)
       if (Stats.pearson(proxy.toSeq, gSeq) < targetR) lo = beta else hi = beta
     }
-    (proxy, beta)
+    proxy
   }
 
   /** Alternating busy/quiet episode schedule with exponential dwell times
@@ -134,8 +133,7 @@ object StreamGen {
     }
     val c = math.sqrt(lo * hi)
     val counts = Array.tabulate(length)(j => rng.nextPoisson(c * lam(j)).toDouble)
-    val (proxy, _) = calibrateProxy(counts, targetR, seed)
-    StreamDataset(name, proxy, counts, counts.map(_ > 0))
+    StreamDataset(name, calibrateProxy(counts, targetR, seed), counts, counts.map(_ > 0))
   }
 
   /** Text-like stream: the predicate (e.g. "is customer tweet") follows a
@@ -171,8 +169,7 @@ object StreamGen {
       i += 1
     }
     val masked = Array.tabulate(length)(i => if (matches(i)) sentiment(i) else 0.0)
-    val (proxy, _) = calibrateProxy(masked, targetR, seed)
-    StreamDataset(name, proxy, sentiment, matches)
+    StreamDataset(name, calibrateProxy(masked, targetR, seed), sentiment, matches)
   }
 
   /** §5.6 adversarial stream: K = 3 interleaved Normal substreams whose

@@ -37,7 +37,7 @@ final case class TrialOutcome(
 final case class EvalPoint(
     dataset: String,
     algorithm: String,
-    totalBudget: Int,
+    totalBudget: Long,
     nTrials: Int,
     meanTrialMedianError: Double,
     medianSegmentRmse: Double,
@@ -88,11 +88,10 @@ object Runner {
   ): EvalPoint = {
     val truths = ds.truthPerSegment(query.segmentLength, query.usePredicate, query.agg).toSeq
     val truthAll = ds.truthOverall(query.usePredicate, query.agg)
-    val nSegments = ds.segments(query.segmentLength).size
     EvalPoint(
       dataset = ds.name,
       algorithm = algorithm,
-      totalBudget = query.budgetPerSegment * nSegments,
+      totalBudget = query.totalBudget(ds.segments(query.segmentLength).size),
       nTrials = outcomes.size,
       meanTrialMedianError =
         outcomes.map(o => Metrics.trialMedianSegmentError(o.perSegment, truths)).sum / outcomes.size,

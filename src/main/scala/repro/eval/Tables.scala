@@ -24,6 +24,9 @@ object Tables {
     )
   }
 
+  /** Generator seed of the catalogue streams (Table 2, Tables 3 & 4). */
+  private val DatasetSeed = 7L
+
   private def fmt(x: Double): String = f"$x%.4f"
 
   // ------------------------------------------------------------------
@@ -35,9 +38,9 @@ object Tables {
   final case class Table2Row(dataset: String, paperP: Double, measuredP: Double,
                              paperR: Double, measuredR: Double)
 
-  def table2(length: Int, seed: Long = 7): Seq[Table2Row] =
+  def table2(length: Int): Seq[Table2Row] =
     Datasets.specs.map { spec =>
-      val ds = Datasets.generate(spec.name, length, seed)
+      val ds = Datasets.generate(spec.name, length, DatasetSeed)
       val p = ds.predicate.count(identity).toDouble / ds.length
       val masked = Array.tabulate(ds.length)(i => if (ds.predicate(i)) ds.statistic(i) else 0.0)
       val r = Stats.pearson(ds.proxy.toSeq, masked.toSeq)
@@ -101,38 +104,32 @@ object Tables {
   /** Tables 3 & 4: for each total budget NT, the geometric mean across
     * datasets; "All" is the geomean over the budget columns.
     */
-  def rmseSummary(
-      spark: SparkSession,
-      usePredicate: Boolean,
-      scale: Scale,
-      seed: Long = 7,
-  ): Summary = {
+  def rmseSummary(spark: SparkSession, usePredicate: Boolean, scale: Scale): Summary = {
     val segLen = math.max(1, scale.length / 5)
     val points = for {
-      ds <- Datasets.names.iterator.map(Datasets.generate(_, scale.length, seed))
+      ds <- Datasets.names.iterator.map(Datasets.generate(_, scale.length, DatasetSeed))
       budget <- Budgets
-    } yield (budget.toString, ds,
-      QueryConfig(AggFunc.Avg, usePredicate, segLen, budgetPerSegment = budget / 5), seed * 100 + budget)
+    } yield (budget.toString, ds, QueryConfig(AggFunc.Avg, usePredicate, segLen, budgetPerSegment = budget / 5),
+      DatasetSeed * 100 + budget)
     val s = sweep(spark, "NT=", scale.trials, points, Stats.geomean)
     s.copy(columns = s.columns :+ "All",
       rmse = s.rmse.map { case (a, byCol) => a -> (byCol + ("All" -> Stats.geomean(s.columns.map(byCol)))) })
   }
 
+  /** §5.6 settings: total budget NT, trials per point and suite seed. */
+  private val AdvBudget = 2500
+  private val AdvTrials = 50
+  private val AdvSeed = 11L
+
   /** §5.6: for each number of shifts n, the mean across the suite's
     * streams.
     */
-  def adversarial(
-      spark: SparkSession,
-      scale: Scale,
-      budgetTotal: Int = 2500,
-      trials: Int = 50,
-      seed: Long = 11,
-  ): Summary = {
+  def adversarial(spark: SparkSession, scale: Scale): Summary = {
     val query = QueryConfig(AggFunc.Avg, usePredicate = true, math.max(1, scale.advLength / 5),
-      budgetPerSegment = budgetTotal / 5)
-    val points = Datasets.adversarialSuite(scale.advLength, scale.advPerShift, seed).iterator
-      .map { case (n, ds) => (n.toString, ds, query, seed + n) }
-    sweep(spark, "n=", trials, points, xs => xs.sum / xs.size)
+      budgetPerSegment = AdvBudget / 5)
+    val points = Datasets.adversarialSuite(scale.advLength, scale.advPerShift, AdvSeed)
+      .map { case (n, ds) => (n.toString, ds, query, AdvSeed + n) }
+    sweep(spark, "n=", AdvTrials, points, xs => xs.sum / xs.size)
   }
 
   def render(s: Summary): String = {

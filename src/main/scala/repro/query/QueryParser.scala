@@ -22,10 +22,14 @@ final case class Interval(value: Long, unit: String) {
       case other => throw new IllegalArgumentException(s"unknown interval unit '$other'")
     }
 
+  /** Multiplied in `Double`, which is exact below 2^53 and, unlike a
+    * `Long` product, cannot wrap: an overlong span saturates at
+    * `Long.MaxValue`.
+    */
   private def time(secondsPerUnit: Long, rps: Double): Long = {
     require(!rps.isNaN && rps > 0,
       s"time-based interval '$value $unit' needs a records-per-second rate")
-    math.round(value * secondsPerUnit * rps)
+    math.round(value.toDouble * secondsPerUnit * rps)
   }
 }
 

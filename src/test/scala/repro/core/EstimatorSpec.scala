@@ -29,11 +29,11 @@ class EstimatorSpec extends SparkSpec {
     assert(Estimator.estimate(empty, AggFunc.Avg) == 0.0)
   }
 
-  test("cumulativeEstimate pools cells across segments") {
+  test("estimate over the flattened cells pools cells across segments") {
     val seg1 = Seq(StratumStats.fromSamples(100, Seq((1.0, true))))
     val seg2 = Seq(StratumStats.fromSamples(100, Seq((3.0, true))))
     // equal weights → mean of 1 and 3
-    assert(math.abs(Estimator.cumulativeEstimate(Seq(seg1, seg2), AggFunc.Avg) - 2.0) < 1e-12)
+    assert(math.abs(Estimator.estimate(Seq(seg1, seg2).flatten, AggFunc.Avg) - 2.0) < 1e-12)
   }
 
   test("single full-coverage cell recovers the exact answer") {

@@ -25,7 +25,8 @@ class PrepareSpec extends AnyFunSuite {
     algorithms(params).foreach { algo =>
       val trial = algo().prepare(ds, q)
       (1L to 20L).foreach { seed =>
-        assert(bits(trial(seed)) == bits(algo().run(ds, q, seed)), s"${algo().name} seed $seed")
+        assert(bits(trial(seed)) == bits(algo().run(ds, q, seed)),
+          s"${algo().getClass.getSimpleName} seed $seed")
       }
     }
 

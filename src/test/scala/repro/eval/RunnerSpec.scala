@@ -10,9 +10,23 @@ class RunnerSpec extends SparkSpec {
   private val query = QueryConfig(AggFunc.Avg, usePredicate = true,
     segmentLength = 2000, budgetPerSegment = 80)
 
+  /** Five segments whose total budget N·T, 2 500 000 000, overflows an `Int`. */
+  private val hugeBudget = QueryConfig(AggFunc.Avg, usePredicate = true,
+    segmentLength = 2000, budgetPerSegment = 500_000_000)
+
   test("Algorithms registry knows all four algorithms") {
-    Algorithms.All.foreach(n => assert(Algorithms.byName(n).name == n))
+    val classes = Algorithms.All.map(n => Algorithms.byName(n).getClass)
+    assert(classes.distinct.size == Algorithms.All.size)
     assertThrows[IllegalArgumentException](Algorithms.byName("nope"))
+  }
+
+  test("uniform and abae sample every record when N·T overflows an Int") {
+    val truths = ds.truthPerSegment(hugeBudget.segmentLength, hugeBudget.usePredicate)
+    Seq("uniform", "abae").foreach { a =>
+      val r = Algorithms.byName(a).run(ds, hugeBudget, 1)
+      assert(r.oracleCalls == ds.length, a)
+      r.perSegment.zip(truths).foreach { case (e, t) => assert(math.abs(e - t) < 1e-9, a) }
+    }
   }
 
   test("distributed evaluation equals local trials (same seeds)") {
@@ -46,5 +60,10 @@ class RunnerSpec extends SparkSpec {
     val p = Runner.summarize(ds, "x", query, o)
     assert(p.totalBudget == 400)
     assert(p.dataset == "run")
+  }
+
+  test("summarize reports an N·T past Int.MaxValue as a Long") {
+    val o = Seq(TrialOutcome(0, Seq.fill(5)(1.0), 1.0, 100))
+    assert(Runner.summarize(ds, "x", hugeBudget, o).totalBudget == 2_500_000_000L)
   }
 }

@@ -36,7 +36,7 @@ class TablesSpec extends SparkSpec {
   }
 
   test("adversarial summary covers every shift count") {
-    val s = Tables.adversarial(spark, tiny, budgetTotal = 250, trials = 3)
+    val s = Tables.adversarial(spark, tiny)
     assert(s.columns == Seq("1", "2", "3", "4", "5"))
     assert(s.detail.size == 5 * 4)
     assert(s.rmse.keySet == Algorithms.All.toSet)

@@ -89,6 +89,15 @@ class QueryParserSpec extends AnyFunSuite {
     assert(e.getMessage.contains("4294967396 RECORDS"), e.getMessage)
   }
 
+  test("a time-based window whose seconds overflow a Long is rejected, not wrapped") {
+    // 5,124,095,576,030,432 h × 3,600 s/h = 2^64 + 3,584 s: a Long product
+    // wraps to a 3,584-record window.
+    val q = QueryParser.parse(
+      "SELECT AVG(f(x)) FROM d TUMBLE(idx, INTERVAL '5,124,095,576,030,432' HOURS) ORACLE LIMIT 10 USING p")
+    val e = intercept[IllegalArgumentException](q.toQueryConfig(recordsPerSecond = 1))
+    assert(e.getMessage.contains("5124095576030432 HOURS"), e.getMessage)
+  }
+
   test("time-based interval without a rate is rejected") {
     val q = QueryParser.parse(twitterQuery)
     assertThrows[IllegalArgumentException](q.toQueryConfig())
