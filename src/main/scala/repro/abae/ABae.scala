@@ -41,9 +41,12 @@ final class ABae(k: Int = 3) extends StreamAlgorithm {
     val pilotBudget = math.max(k, math.round(totalBudget * ABae.PilotFraction).toInt)
     val pilotPer = Stats.largestRemainder(Array.fill(k)(1.0), pilotBudget)
 
+    val statistic = ds.statistic
+    val predicate = ds.predicate
+
     trialSeed => {
       // Batch algorithm: the budget is global, not per-segment.
-      val oracle = new OracleModel(ds, query.segmentLength, None)
+      val oracle = new OracleModel(statistic, predicate, query.segmentLength)
       def cell(sizeD: Long, idxs: Array[Long]): StratumStats = oracle.cell(sizeD, idxs, query.usePredicate)
 
       // Stage 1: pilot, uniform per stratum.

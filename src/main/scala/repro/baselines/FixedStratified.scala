@@ -35,8 +35,11 @@ final class FixedStratified(k: Int = 3) extends StreamAlgorithm {
       (strata, Allocation.capToSizes(perStratum, strata.map(_.length.toLong)))
     }
 
+    val statistic = ds.statistic
+    val predicate = ds.predicate
+
     trialSeed => {
-      val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
+      val oracle = new OracleModel(statistic, predicate, query.segmentLength, Some(query.budgetPerSegment))
       val cellsPerSegment = plans.zipWithIndex.map { case ((strata, counts), t) =>
         (0 until k).map { s =>
           val sampled = Reservoir.bottomN(strata(s), counts(s), trialSeed, FixedStratified.SampleTag + t)

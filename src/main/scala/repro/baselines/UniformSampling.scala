@@ -11,25 +11,31 @@ import repro.sampling.Reservoir
   * samples that landed in that segment.
   */
 final class UniformSampling extends StreamAlgorithm {
-  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = trialSeed => {
+  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
+    val statistic = ds.statistic
+    val predicate = ds.predicate
+    val n = ds.length
     val segs = ds.segments(query.segmentLength)
-    val totalBudget = math.min(ds.length.toLong, query.totalBudget(segs.size)).toInt
-    // No per-segment limit: the draw is uniform over the duration, so some
-    // segments legitimately receive more than N samples (the total is N·T).
-    val oracle = new OracleModel(ds, query.segmentLength, None)
+    val totalBudget = math.min(n.toLong, query.totalBudget(segs.size)).toInt
 
-    val all = new Array[Long](ds.length)
-    var j = 0
-    while (j < all.length) { all(j) = j; j += 1 }
-    val sampled = Reservoir.bottomN(all, totalBudget, trialSeed, UniformSampling.SampleTag)
+    trialSeed => {
+      // No per-segment limit: the draw is uniform over the duration, so some
+      // segments legitimately receive more than N samples (the total is N·T).
+      val oracle = new OracleModel(statistic, predicate, query.segmentLength)
 
-    val perSegment = segs.map { seg =>
-      val cell = oracle.cell(seg.size.toLong, sampled.filter(i => seg.contains(i.toInt)), query.usePredicate)
-      Estimator.segmentEstimate(Seq(cell), query.agg)
-    }.toArray
+      val all = new Array[Long](n)
+      var j = 0
+      while (j < all.length) { all(j) = j; j += 1 }
+      val sampled = Reservoir.bottomN(all, totalBudget, trialSeed, UniformSampling.SampleTag)
 
-    val overall = oracle.cell(ds.length.toLong, sampled, query.usePredicate)
-    RunResult(perSegment, Estimator.estimate(Seq(overall), query.agg), oracle.totalCalls)
+      val perSegment = segs.map { seg =>
+        val cell = oracle.cell(seg.size.toLong, sampled.filter(i => seg.contains(i.toInt)), query.usePredicate)
+        Estimator.segmentEstimate(Seq(cell), query.agg)
+      }.toArray
+
+      val overall = oracle.cell(n.toLong, sampled, query.usePredicate)
+      RunResult(perSegment, Estimator.estimate(Seq(overall), query.agg), oracle.totalCalls)
+    }
   }
 }
 

@@ -32,9 +32,11 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
       val (idx, proxy) = ds.keys(seg)
       planner.add(idx, proxy)(identity)
     }
+    val statistic = ds.statistic
+    val predicate = ds.predicate
     trialSeed => {
       val session = new InQuest.Session(params, query, trialSeed)
-      val oracle = new OracleModel(ds, query.segmentLength, Some(query.budgetPerSegment))
+      val oracle = new OracleModel(statistic, predicate, query.segmentLength, Some(query.budgetPerSegment))
       // Each cell in ascending idx order, as `bottomN` returns it.
       val observe: InQuest.Oracle = (cells, _) =>
         cells.map { case (sizeD, idxs) => oracle.cell(sizeD, idxs, query.usePredicate) }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
-
 /** The expensive high-precision model, metered.
   *
   * In the paper the oracle is a Mask R-CNN / BERT forward pass; here it
@@ -32,6 +30,12 @@ final class OracleModel(
 
   /** Run the oracle on record `idx`, returning (f(x), O(x)). */
   def invoke(idx: Int): (Double, Boolean) = {
+    meter(idx)
+    (statistic(idx), predicate(idx))
+  }
+
+  /** Count a first invocation of record `idx` against its segment's limit. */
+  private def meter(idx: Int): Unit = {
     require(idx >= 0 && idx < statistic.length, s"record index $idx out of range")
     if (!seen.get(idx)) {
       seen.set(idx)
@@ -42,18 +46,23 @@ final class OracleModel(
           s"oracle budget exceeded in segment $seg: ${callsPerSegment(seg)} > $lim")
       }
     }
-    (statistic(idx), predicate(idx))
   }
 
   /** One cell: invoke the oracle on `idxs` in the given order and fold
     * them into |D| = `sizeD` sufficient statistics. Without a WHERE clause
     * (`usePredicate` false) every record matches.
     */
-  def cell(sizeD: Long, idxs: Array[Long], usePredicate: Boolean): StratumStats =
-    StratumStats.fromSamples(sizeD, ArraySeq.unsafeWrapArray(idxs).map { i =>
-      val (f, o) = invoke(i.toInt)
-      (f, o || !usePredicate)
-    })
+  def cell(sizeD: Long, idxs: Array[Long], usePredicate: Boolean): StratumStats = {
+    val fold = new StratumStats.Fold
+    var j = 0
+    while (j < idxs.length) {
+      val i = idxs(j).toInt
+      meter(i)
+      fold.add(statistic(i), !usePredicate || predicate(i))
+      j += 1
+    }
+    fold.result(sizeD)
+  }
 
   def totalCalls: Long = callsPerSegment.sum
   def callsInSegment(t: Int): Long = callsPerSegment(t)

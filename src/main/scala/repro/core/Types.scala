@@ -65,8 +65,9 @@ final case class StreamDataset(
     * `idx`, through the same fold as a sampled cell.
     */
   private def truth(records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
-    val census = StratumStats.fromSamples(records.size,
-      records.map(i => (statistic(i), !usePredicate || predicate(i))))
+    val fold = new StratumStats.Fold
+    records.foreach(i => fold.add(statistic(i), !usePredicate || predicate(i)))
+    val census = fold.result(records.size)
     agg match {
       case AggFunc.Avg   => census.muHat
       case AggFunc.Sum   => census.sumF
@@ -115,23 +116,35 @@ final case class StratumStats(
 }
 
 object StratumStats {
-  /** Fold oracle observations (f, O) for one cell into sufficient stats,
-    * summing in the given order. Each sum starts from the first matching
-    * value, as `Seq.sum` on a sized collection does, so a lone −0.0 keeps
-    * its sign.
+  /** The one fold of oracle observations (f, O) into a cell's sufficient
+    * stats, summing in the order they are added. Each sum starts from the
+    * first matching value, as `Seq.sum` on a sized collection does, so a
+    * lone −0.0 keeps its sign. Sampled cells and census cells (ground
+    * truth) both go through it.
     */
-  def fromSamples(sizeD: Long, obs: Seq[(Double, Boolean)]): StratumStats = {
-    var nPos = 0
-    var sumF = 0.0
-    var sumSqF = 0.0
-    obs.foreach { case (f, o) =>
+  final class Fold {
+    private var nSampled = 0
+    private var nPos = 0
+    private var sumF = 0.0
+    private var sumSqF = 0.0
+
+    def add(f: Double, o: Boolean): Unit = {
       if (o) {
         if (nPos == 0) { sumF = f; sumSqF = f * f }
         else { sumF += f; sumSqF += f * f }
         nPos += 1
       }
+      nSampled += 1
     }
-    StratumStats(sizeD, obs.size, nPos, sumF, sumSqF)
+
+    def result(sizeD: Long): StratumStats = StratumStats(sizeD, nSampled, nPos, sumF, sumSqF)
+  }
+
+  /** [[Fold]] over `obs`, in order. */
+  def fromSamples(sizeD: Long, obs: Seq[(Double, Boolean)]): StratumStats = {
+    val fold = new Fold
+    obs.foreach { case (f, o) => fold.add(f, o) }
+    fold.result(sizeD)
   }
 }
 
@@ -149,7 +162,9 @@ trait StreamAlgorithm extends Serializable {
   /** Do the work that depends only on the data (strata, splits, sizes)
     * and return the trial function: trial seed to result. The function is
     * immutable and serializable, so one plan serves every Monte-Carlo
-    * trial of a call.
+    * trial of a call. It captures only what trials read, the plan and the
+    * `statistic` and `predicate` columns, not the whole dataset: the
+    * proxies are the plan's input, and the harness broadcasts the function.
     */
   def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult
 

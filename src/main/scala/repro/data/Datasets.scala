@@ -33,8 +33,14 @@ object Datasets {
     */
   val Duration = 500_000
 
+  /** Generator seed of the catalogue streams (Tables 2–4). */
+  val CatalogueSeed = 7L
+
+  /** Generator seed of the §5.6 adversarial suite. */
+  val SuiteSeed = 11L
+
   /** Generate one catalogue dataset at a given length (tests shrink it). */
-  def generate(name: String, length: Int = Duration, seed: Long = 7): StreamDataset = {
+  def generate(name: String, length: Int = Duration, seed: Long = CatalogueSeed): StreamDataset = {
     val spec = specs.find(_.name == name)
       .getOrElse(throw new IllegalArgumentException(
         s"unknown dataset '$name'; known: ${names.mkString(", ")}"))
@@ -52,7 +58,7 @@ object Datasets {
     * streams (paper: 20 → 100 datasets), each generated when it is
     * reached, so a consumer holds one stream at a time.
     */
-  def adversarialSuite(length: Int, perShift: Int, seed: Long = 11): Iterator[(Int, StreamDataset)] =
+  def adversarialSuite(length: Int, perShift: Int, seed: Long = SuiteSeed): Iterator[(Int, StreamDataset)] =
     for {
       n <- Iterator.range(1, 6)
       rep <- Iterator.range(0, perShift)

@@ -6,8 +6,9 @@ import repro.baselines.{FixedStratified, UniformSampling}
 import repro.core._
 
 /** Algorithm registry. What crosses the serialization boundary to the
-  * Spark tasks is an algorithm's trial function (its plan and the stream),
-  * which is immutable, so trials share it without coordination.
+  * Spark tasks is an algorithm's trial function (its plan and the stream's
+  * `statistic` and `predicate` columns), which is immutable, so trials
+  * share it without coordination.
   */
 object Algorithms {
   val All: Seq[String] = Seq("uniform", "stratified", "abae", "inquest")
@@ -47,9 +48,9 @@ final case class EvalPoint(
 
 /** Distributed Monte-Carlo evaluation: the paper's 1000-trial loops as a
   * Spark job — `spark.range(nTrials)` with the algorithm's trial function
-  * (its plan, built once per call on the driver, and the stream)
-  * broadcast, and one record-at-a-time trial per row (DESIGN.md §6,
-  * "Trials over Spark").
+  * (its plan, built once per call on the driver, and the stream's
+  * `statistic` and `predicate` columns) broadcast, and one
+  * record-at-a-time trial per row (DESIGN.md §6, "Trials over Spark").
   */
 object Runner {
 

@@ -24,9 +24,6 @@ object Tables {
     )
   }
 
-  /** Generator seed of the catalogue streams (Table 2, Tables 3 & 4). */
-  private val DatasetSeed = 7L
-
   private def fmt(x: Double): String = f"$x%.4f"
 
   // ------------------------------------------------------------------
@@ -40,7 +37,7 @@ object Tables {
 
   def table2(length: Int): Seq[Table2Row] =
     Datasets.specs.map { spec =>
-      val ds = Datasets.generate(spec.name, length, DatasetSeed)
+      val ds = Datasets.generate(spec.name, length)
       val p = ds.predicate.count(identity).toDouble / ds.length
       val masked = Array.tabulate(ds.length)(i => if (ds.predicate(i)) ds.statistic(i) else 0.0)
       val r = Stats.pearson(ds.proxy.toSeq, masked.toSeq)
@@ -107,19 +104,18 @@ object Tables {
   def rmseSummary(spark: SparkSession, usePredicate: Boolean, scale: Scale): Summary = {
     val segLen = math.max(1, scale.length / 5)
     val points = for {
-      ds <- Datasets.names.iterator.map(Datasets.generate(_, scale.length, DatasetSeed))
+      ds <- Datasets.names.iterator.map(Datasets.generate(_, scale.length))
       budget <- Budgets
     } yield (budget.toString, ds, QueryConfig(AggFunc.Avg, usePredicate, segLen, budgetPerSegment = budget / 5),
-      DatasetSeed * 100 + budget)
+      Datasets.CatalogueSeed * 100 + budget)
     val s = sweep(spark, "NT=", scale.trials, points, Stats.geomean)
     s.copy(columns = s.columns :+ "All",
       rmse = s.rmse.map { case (a, byCol) => a -> (byCol + ("All" -> Stats.geomean(s.columns.map(byCol)))) })
   }
 
-  /** §5.6 settings: total budget NT, trials per point and suite seed. */
+  /** §5.6 settings: total budget NT and trials per point. */
   private val AdvBudget = 2500
   private val AdvTrials = 50
-  private val AdvSeed = 11L
 
   /** §5.6: for each number of shifts n, the mean across the suite's
     * streams.
@@ -127,8 +123,8 @@ object Tables {
   def adversarial(spark: SparkSession, scale: Scale): Summary = {
     val query = QueryConfig(AggFunc.Avg, usePredicate = true, math.max(1, scale.advLength / 5),
       budgetPerSegment = AdvBudget / 5)
-    val points = Datasets.adversarialSuite(scale.advLength, scale.advPerShift, AdvSeed)
-      .map { case (n, ds) => (n.toString, ds, query, AdvSeed + n) }
+    val points = Datasets.adversarialSuite(scale.advLength, scale.advPerShift)
+      .map { case (n, ds) => (n.toString, ds, query, Datasets.SuiteSeed + n) }
     sweep(spark, "n=", AdvTrials, points, xs => xs.sum / xs.size)
   }
 

@@ -92,25 +92,79 @@ object Stats {
   /** Empirical quantile boundaries splitting `xs` into K equal-count strata.
     *
     * Returns the K−1 interior boundaries (quantiles at j/K, linear
-    * interpolation). With duplicates boundaries may coincide; stratum
-    * assignment handles that by half-open intervals. The sort is a
-    * primitive `Arrays.sort`, whose `Double.compare` order is the one
-    * `xs.sorted` uses.
+    * interpolation between the order statistics of ranks `lo` and
+    * `lo + 1`). With duplicates boundaries may coincide; stratum
+    * assignment handles that by half-open intervals. Only those 2(K−1)
+    * order statistics are selected, in ascending rank, each from where the
+    * previous one stopped; nothing is fully sorted. Ranks follow
+    * `Double.compare`, the order `xs.sorted` uses (−0.0 before 0.0), so
+    * the boundaries are the bits the sorted definition gives. `xs` is
+    * copied, not modified.
     */
   def quantileBoundaries(xs: Seq[Double], k: Int): Array[Double] = {
     require(k >= 1, s"need at least one stratum, got $k")
     require(xs.nonEmpty, "quantileBoundaries of empty sequence")
     val s = xs.toArray
-    java.util.Arrays.sort(s)
+    // s(r) holds the rank-r value for every rank selected so far, and
+    // s(from until s.length) holds every rank from `from` up.
+    var from = 0
     Array.tabulate(k - 1) { j =>
       val q = (j + 1).toDouble / k
       val pos = q * (s.length - 1)
       val lo = pos.toInt
       val hi = math.min(lo + 1, s.length - 1)
       val frac = pos - lo
+      if (lo >= from) { select(s, from, lo); from = lo + 1 }
+      if (hi >= from) { selectMin(s, from); from = hi + 1 }
       s(lo) * (1 - frac) + s(hi) * frac
     }
   }
+
+  /** Permute `a(from until a.length)` so that `a(r)` holds its rank-`r`
+    * value under `Double.compare`, with no larger value before it and no
+    * smaller one after it: quickselect with a three-way partition around a
+    * median-of-three pivot, falling back to sorting the remaining range
+    * after 2·log₂ n rounds so that no input is quadratic.
+    */
+  private def select(a: Array[Double], from: Int, r: Int): Unit = {
+    def cmp(x: Double, y: Double): Int = java.lang.Double.compare(x, y)
+    var lo = from
+    var hi = a.length - 1
+    var rounds = 2 * (32 - Integer.numberOfLeadingZeros(hi - lo + 1))
+    while (lo < hi) {
+      if (rounds == 0) { java.util.Arrays.sort(a, lo, hi + 1); lo = hi }
+      else {
+        rounds -= 1
+        val x = a(lo); val y = a((lo + hi) >>> 1); val z = a(hi)
+        val pivot =
+          if (cmp(x, y) < 0) { if (cmp(y, z) < 0) y else if (cmp(x, z) < 0) z else x }
+          else { if (cmp(x, z) < 0) x else if (cmp(y, z) < 0) z else y }
+        // a(lo until lt) < pivot, a(lt until i) == pivot, a(gt + 1 to hi) > pivot.
+        var lt = lo; var i = lo; var gt = hi
+        while (i <= gt) {
+          val c = cmp(a(i), pivot)
+          if (c < 0) { swap(a, lt, i); lt += 1; i += 1 }
+          else if (c > 0) { swap(a, i, gt); gt -= 1 }
+          else i += 1
+        }
+        if (r < lt) hi = lt - 1
+        else if (r > gt) lo = gt + 1
+        else lo = hi
+      }
+    }
+  }
+
+  /** Move the least value of `a(from until a.length)` under
+    * `Double.compare` to `a(from)`.
+    */
+  private def selectMin(a: Array[Double], from: Int): Unit = {
+    var m = from
+    var i = from + 1
+    while (i < a.length) { if (java.lang.Double.compare(a(i), a(m)) < 0) m = i; i += 1 }
+    swap(a, from, m)
+  }
+
+  private def swap(a: Array[Double], i: Int, j: Int): Unit = { val t = a(i); a(i) = a(j); a(j) = t }
 
   /** Stratum index of `x` given interior boundaries: half-open intervals
     * `(-inf, b0), [b0, b1), …, [b_{K-2}, +inf)`.

@@ -5,6 +5,7 @@ import org.scalacheck.Gen
 import repro.{Oracle, SparkSpec}
 import repro.data.StreamGen
 import repro.testkit.{Checks, SparkData}
+import repro.util.Rng
 import scala.collection.immutable.ArraySeq
 
 class TypesSpec extends SparkSpec {
@@ -101,6 +102,41 @@ class TypesSpec extends SparkSpec {
     val ds = StreamDataset("none", Array(0.1, 0.2), Array(1.0, 2.0), Array(false, false))
     assert(ds.truthPerSegment(2, usePredicate = true).toSeq == Seq(0.0))
     assert(ds.truthOverall(usePredicate = true) == 0.0)
+  }
+
+  test("truthPerSegment and truthOverall equal the boxed census fold bit for bit") {
+    // Four segments of 1000: the generated stream, its counts made
+    // non-integer so that the summation order shows in the last bits; one
+    // whose only match is -0.0; one with no matches; one whose statistics
+    // are all -0.0.
+    val base = tinyDs
+    val n = 4000
+    val statistic = Array.tabulate(n) { i =>
+      if (i == 1500 || i >= 3000) -0.0 else base.statistic(i % 3000) / 3 + Rng.uniform(9, i.toLong)
+    }
+    val predicate = Array.tabulate(n) { i =>
+      if (i < 1000 || i >= 3000) base.predicate(i % 3000) else i == 1500
+    }
+    val ds = StreamDataset("census", Array.tabulate(n)(i => base.proxy(i % 3000)), statistic, predicate)
+    def reference(records: Range, usePredicate: Boolean, agg: AggFunc): Double = {
+      val c = StratumStats.fromSamples(records.size,
+        records.map(i => (ds.statistic(i), !usePredicate || ds.predicate(i))))
+      agg match {
+        case AggFunc.Avg   => c.muHat
+        case AggFunc.Sum   => c.sumF
+        case AggFunc.Count => c.nPos.toDouble
+      }
+    }
+    def bits(xs: Seq[Double]) = xs.map(java.lang.Double.doubleToRawLongBits)
+    for (agg <- Seq(AggFunc.Avg, AggFunc.Sum, AggFunc.Count); usePredicate <- Seq(true, false)) {
+      val perSegment = ds.truthPerSegment(1000, usePredicate, agg).toSeq
+      assert(bits(perSegment) == bits(ds.segments(1000).map(reference(_, usePredicate, agg))), s"$agg $usePredicate")
+      assert(bits(Seq(ds.truthOverall(usePredicate, agg))) == bits(Seq(reference(0 until n, usePredicate, agg))),
+        s"$agg $usePredicate")
+    }
+    // The edge segments are what the test says they are.
+    assert(bits(ds.truthPerSegment(1000, usePredicate = true, AggFunc.Sum).toSeq.slice(1, 3)) == bits(Seq(-0.0, 0.0)))
+    assert(ds.truthPerSegment(1000, usePredicate = true, AggFunc.Count).toSeq.slice(1, 3) == Seq(1.0, 0.0))
   }
 
   test("StratumStats pHat, muHat, varHat match hand computation") {

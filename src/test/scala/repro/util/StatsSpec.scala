@@ -3,6 +3,7 @@ package repro.util
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.testkit.Checks.forAllSampled
+import scala.collection.immutable.ArraySeq
 
 class StatsSpec extends AnyFunSuite {
 
@@ -140,22 +141,56 @@ class StatsSpec extends AnyFunSuite {
     }
   }
 
+  /** The quantile boundaries by definition: interpolated ranks of the
+    * boxed sort, as raw bits.
+    */
+  private def sortedBoundaryBits(xs: Seq[Double], k: Int): Seq[Long] = {
+    val s = xs.sorted.toArray
+    Array.tabulate(k - 1) { j =>
+      val pos = (j + 1).toDouble / k * (s.length - 1)
+      val lo = pos.toInt
+      val hi = math.min(lo + 1, s.length - 1)
+      s(lo) * (1 - (pos - lo)) + s(hi) * (pos - lo)
+    }.map(java.lang.Double.doubleToRawLongBits).toSeq
+  }
+
+  private def boundaryBits(xs: Seq[Double], k: Int): Seq[Long] =
+    Stats.quantileBoundaries(xs, k).map(java.lang.Double.doubleToRawLongBits).toSeq
+
   test("quantileBoundaries equals its definition over the boxed sort") {
     // Few distinct values, so duplicates are common; -0.0 and 0.0 both occur.
     val values = Gen.oneOf(-0.0, 0.0, 0.25, 1.0, -3.5, 1e-300, Double.MinValue, Double.MaxValue)
     val gen = Gen.zip(Gen.nonEmptyListOf(Gen.oneOf(values, Gen.chooseNum(-1.0, 1.0))), Gen.chooseNum(1, 6))
     forAllSampled(gen, n = 300) { case (xs, k) =>
-      val s = xs.sorted.toArray
-      val expected = Array.tabulate(k - 1) { j =>
-        val pos = (j + 1).toDouble / k * (s.length - 1)
-        val lo = pos.toInt
-        val hi = math.min(lo + 1, s.length - 1)
-        s(lo) * (1 - (pos - lo)) + s(hi) * (pos - lo)
-      }
-      val b = Stats.quantileBoundaries(xs, k)
-      assert(b.map(java.lang.Double.doubleToRawLongBits).toSeq ==
-        expected.map(java.lang.Double.doubleToRawLongBits).toSeq, s"K=$k xs=$xs")
+      assert(boundaryBits(xs, k) == sortedBoundaryBits(xs, k), s"K=$k xs=$xs")
     }
+  }
+
+  test("quantileBoundaries selects the sorted definition's bits on 10^3 and 10^5 values") {
+    Seq(1000, 100_000).foreach { n =>
+      val uniform = Array.tabulate(n)(i => Rng.uniform(5, i.toLong))
+      // Six values drawn at random: -0.0 and 0.0 each make up about a third.
+      val duplicates = Array.tabulate(n)(i => Seq(-0.0, 0.0, 0.5, -0.0, 0.0, 1.0)((Rng.uniform(6, i.toLong) * 6).toInt))
+      val inputs = Seq(
+        "uniform" -> uniform,
+        "duplicates" -> duplicates,
+        "sorted" -> uniform.sorted,
+        "reverse-sorted" -> uniform.sorted.reverse,
+        "sorted duplicates" -> duplicates.sorted,
+        "constant" -> Array.fill(n)(0.25),
+      )
+      for ((name, xs) <- inputs; k <- 1 to 6) {
+        val seq = ArraySeq.unsafeWrapArray(xs)
+        assert(boundaryBits(seq, k) == sortedBoundaryBits(seq, k), s"$name n=$n K=$k")
+      }
+    }
+  }
+
+  test("quantileBoundaries leaves a wrapped input array unmodified") {
+    val xs = Array.tabulate(10_000)(i => Rng.uniform(7, i.toLong) - 0.5)
+    val before = xs.clone()
+    Stats.quantileBoundaries(ArraySeq.unsafeWrapArray(xs), 6)
+    assert(java.util.Arrays.equals(xs, before))
   }
 
   test("stratumOf respects half-open boundaries") {
