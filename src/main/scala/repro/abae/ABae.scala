@@ -61,7 +61,7 @@ final class ABae(k: Int = 3) extends StreamAlgorithm {
         Stats.largestRemainder(alloc, totalBudget - pilot.map(_.length).sum),
         Array.tabulate(k)(s => sizes(s) - pilot(s).length))
       val stage2 = (0 until k).map { s =>
-        Reservoir.bottomN(ABae.without(strata(s), pilot(s)), stage2Counts(s), trialSeed, ABae.Stage2Tag)
+        Reservoir.bottomNExcluding(strata(s), pilot(s), stage2Counts(s), trialSeed, ABae.Stage2Tag)
       }
 
       // Sample reuse: pool pilot and stage-2 samples per stratum.
@@ -87,16 +87,4 @@ object ABae {
   val PilotFraction: Double = 0.15
   val PilotTag: Long = 0xABAE_001L
   val Stage2Tag: Long = 0xABAE_002L
-
-  /** `sorted` less the records of `drop`; both ascending, `drop` a subset. */
-  private def without(sorted: Array[Long], drop: Array[Long]): Array[Long] = {
-    val out = new Array[Long](sorted.length - drop.length)
-    var i = 0; var j = 0
-    while (i < sorted.length) {
-      if (j < drop.length && drop(j) == sorted(i)) j += 1
-      else out(i - j) = sorted(i)
-      i += 1
-    }
-    out
-  }
 }

@@ -23,10 +23,7 @@ final class UniformSampling extends StreamAlgorithm {
       // segments legitimately receive more than N samples (the total is N·T).
       val oracle = new OracleModel(statistic, predicate, query.segmentLength)
 
-      val all = new Array[Long](n)
-      var j = 0
-      while (j < all.length) { all(j) = j; j += 1 }
-      val sampled = Reservoir.bottomN(all, totalBudget, trialSeed, UniformSampling.SampleTag)
+      val sampled = Reservoir.bottomNOfRange(0L, n.toLong, totalBudget, trialSeed, UniformSampling.SampleTag)
 
       val perSegment = segs.map { seg =>
         val cell = oracle.cell(seg.size.toLong, sampled.filter(i => seg.contains(i.toInt)), query.usePredicate)

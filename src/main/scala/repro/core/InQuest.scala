@@ -146,9 +146,8 @@ object InQuest {
         if (t == 0) {
           // Pilot: N uniform samples over the whole segment, one stratum.
           // Its shares in the segment's own strata S_1 seed a_1.
-          val all = plan.strata.flatten
-          val sample = Reservoir.bottomN(all, math.min(n, all.length), trialSeed, SampleTag)
-          val obs = oracle((all.length.toLong, sample) +: sizes.indices.map(k =>
+          val sample = Reservoir.bottomNOfUnion(plan.strata, n, trialSeed, SampleTag)
+          val obs = oracle((sizes.sum, sample) +: sizes.indices.map(k =>
             (sizes(k), sample.filter(java.util.Arrays.binarySearch(plan.strata(k), _) >= 0))), SampleTag)
           (obs.take(1), obs.tail)
         } else {

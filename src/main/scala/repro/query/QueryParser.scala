@@ -82,7 +82,8 @@ final case class ParsedQuery(
 object QueryParser {
 
   // The paper's examples place WHERE either between FROM and TUMBLE
-  // (Figure 2) or between TUMBLE and ORACLE LIMIT (§2.3); accept both.
+  // (Figure 2) or between TUMBLE and ORACLE LIMIT (§2.3); accept either,
+  // and reject a query that has both.
   private val QueryRe =
     ("""(?is)\s*SELECT\s+(AVG|SUM|COUNT)\s*\((.+?)\)\s+FROM\s+(\w+)""" +
       """(?:\s+WHERE\s+(.+?))?""" +
@@ -97,6 +98,8 @@ object QueryParser {
   def parse(sql: String): ParsedQuery = sql match {
     case QueryRe(agg, expr, dataset, where1, winCol, winVal, winUnit, where2,
                  limit, durVal, durUnit, proxy) =>
+      require(where1 == null || where2 == null,
+        s"a query has one WHERE clause, before or after TUMBLE; got two: '${where1.trim}' and '${where2.trim}'")
       val where = Option(where1).orElse(Option(where2))
       ParsedQuery(
         agg = agg.toUpperCase match {

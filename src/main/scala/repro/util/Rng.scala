@@ -24,13 +24,19 @@ object Rng {
   }
 
   /** The `(seed, tag)` half of a record's key, `mix64(salt ^ idx)`: hoist
-    * it out of a loop over indices and finish each key with [[uniformAt]].
+    * it out of a loop over indices and finish each key with [[keyAt]].
     */
   def salt(seed: Long, tag: Long = 0L): Long = mix64(seed ^ mix64(tag))
 
-  /** `uniform(seed, idx, tag)` given `salt(seed, tag)`. */
-  def uniformAt(salt: Long, idx: Long): Double =
-    (mix64(salt ^ idx) >>> 11) * 1.1102230246251565e-16 // 2^-53
+  /** The 53-bit integer numerator of `uniformAt(salt, idx)`, in
+    * [0, 2^53): keys order, and tie, exactly as the uniforms do.
+    */
+  def keyAt(salt: Long, idx: Long): Long = mix64(salt ^ idx) >>> 11
+
+  /** `uniform(seed, idx, tag)` given `salt(seed, tag)`: the key times
+    * 2^-53, which is exact.
+    */
+  def uniformAt(salt: Long, idx: Long): Double = keyAt(salt, idx) * 1.1102230246251565e-16 // 2^-53
 
   /** Uniform double in [0, 1), a pure function of (seed, idx, tag). */
   def uniform(seed: Long, idx: Long, tag: Long = 0L): Double = uniformAt(salt(seed, tag), idx)

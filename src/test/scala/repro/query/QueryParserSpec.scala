@@ -122,6 +122,15 @@ class QueryParserSpec extends AnyFunSuite {
     assert(e.getMessage.contains("Figure 2"))
   }
 
+  test("a query with a WHERE clause in both positions is rejected, naming both predicates") {
+    val e = intercept[IllegalArgumentException](QueryParser.parse(
+      """SELECT AVG(count) FROM archie WHERE count > 0
+        |TUMBLE(frame_idx, INTERVAL '100,000' FRAMES) WHERE count > 5
+        |ORACLE LIMIT 100 USING proxy_count""".stripMargin))
+    assert(e.getMessage.contains("count > 0"))
+    assert(e.getMessage.contains("count > 5"))
+  }
+
   test("missing ORACLE LIMIT is rejected") {
     assertThrows[IllegalArgumentException](QueryParser.parse(
       "SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL '10' RECORDS) USING p"))
