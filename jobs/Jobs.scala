@@ -10,7 +10,7 @@ object JobSession {
     * `title`, then stop the session.
     */
   def printSummary(app: String, title: String)(summary: SparkSession => Tables.Summary): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.ui.enabled", "false")

@@ -38,7 +38,8 @@ final class ABae(k: Int = 3) extends StreamAlgorithm {
     val sizes = strata.map(_.length.toLong)
     val sizeDtk = Array.ofDim[Long](nSegments, k)
     for (s <- 0 until k; i <- strata(s)) sizeDtk(i.toInt / query.segmentLength)(s) += 1
-    val pilotBudget = math.max(k, math.round(totalBudget * ABae.PilotFraction).toInt)
+    // At least one pilot sample per stratum, but never more than N·T.
+    val pilotBudget = math.min(totalBudget, math.max(k, math.round(totalBudget * ABae.PilotFraction).toInt))
     val pilotPer = Stats.largestRemainder(Array.fill(k)(1.0), pilotBudget)
 
     val statistic = ds.statistic

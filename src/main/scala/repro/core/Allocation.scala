@@ -18,11 +18,18 @@ object Allocation {
     optimal(stats.map(_.sizeD).toArray, stats.map(_.pHat).toArray, stats.map(_.stdHat).toArray)
   }
 
-  /** `â_t = EWMA({a_1 … a_{t−1}}, α)`, renormalized (EWMA of simplex
-    * vectors stays on the simplex, renormalization guards rounding).
+  /** `â_t = EWMA({a_1 … a_{t−1}}, α)`, [[normalized]]: the state the
+    * session keeps, folded over a whole history.
     */
   def smooth(history: Seq[Array[Double]], alpha: Double): Array[Double] = {
-    val a = Stats.ewmaVec(history, alpha)
+    require(history.nonEmpty, "smooth of an empty history")
+    normalized(history.foldLeft(Stats.Ewma(alpha, history.head.length))(_ add _).value)
+  }
+
+  /** `a / Σ a`, or the uniform 1/K when `Σ a ≤ 0`. An EWMA of simplex
+    * vectors stays on the simplex; dividing by the sum guards rounding.
+    */
+  def normalized(a: Array[Double]): Array[Double] = {
     val s = a.sum
     if (s <= 0) Array.fill(a.length)(1.0 / a.length) else a.map(_ / s)
   }
@@ -89,8 +96,6 @@ object Allocation {
     * back to the uniform allocation 1/K rather than dividing by zero.
     */
   def optimal(sizeD: Array[Long], p: Array[Double], sigma: Array[Double]): Array[Double] = {
-    val raw = Array.tabulate(sizeD.length)(k => sizeD(k) * math.sqrt(p(k)) * sigma(k))
-    val s = raw.sum
-    if (s <= 0) Array.fill(raw.length)(1.0 / raw.length) else raw.map(_ / s)
+    normalized(Array.tabulate(sizeD.length)(k => sizeD(k) * math.sqrt(p(k)) * sigma(k)))
   }
 }

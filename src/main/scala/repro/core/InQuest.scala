@@ -81,28 +81,31 @@ object InQuest {
 
   /** The data-only half of the InQuest control plane: GetStrata and
     * SplitStream, fed the stream's segments in order, one [[SegmentPlan]]
-    * per segment. It holds the strata history S_1 … S_t. The local engine
-    * adds every segment once per call and shares the plans across trials;
-    * the Catalyst engine adds one segment per micro-batch.
+    * per segment. It holds the EWMA of the strata S_1 … S_t, K−1 numbers
+    * however many segments it has seen. The local engine adds every
+    * segment once per call and shares the plans across trials; the
+    * Catalyst engine adds one segment per micro-batch.
     */
   final class Planner(params: InQuestParams) {
-    private var strataHistory = Vector.empty[Array[Double]]
+    private var t = 0
+    private var smoothed = Stats.Ewma(params.alpha, params.k - 1)
 
     /** Plan the next segment, given as parallel `(idx, proxy)` keys of its
-      * records in any order, and hand the plan to `use`. The segment joins
-      * the strata history only once `use` returns, so a `use` that throws
-      * leaves the planner as it was.
+      * records in any order, and hand the plan to `use`. The segment's
+      * strata join the EWMA only once `use` returns, so a `use` that
+      * throws leaves the planner as it was.
       */
     def add[A](idx: Array[Long], proxy: Array[Double])(use: SegmentPlan => A): A = {
       require(idx.nonEmpty && idx.length == proxy.length,
         s"a segment needs parallel, non-empty keys: ${idx.length}/${proxy.length}")
       val ownStrata = Stratification.quantileStrata(ArraySeq.unsafeWrapArray(proxy), params.k)
       // Ŝ_t is a convex combination of sorted vectors, so it stays sorted.
-      val b = if (strataHistory.isEmpty) ownStrata else Stats.ewmaVec(strataHistory, params.alpha)
+      val b = if (t == 0) ownStrata else smoothed.value
       val strata = Stratification.split(idx, proxy, b)
       strata.foreach(java.util.Arrays.sort(_))
-      val used = use(SegmentPlan(strataHistory.size, b, strata))
-      strataHistory :+= ownStrata
+      val used = use(SegmentPlan(t, b, strata))
+      smoothed = smoothed.add(ownStrata)
+      t += 1
       used
     }
   }
@@ -114,7 +117,7 @@ object InQuest {
     *
     * Segment 1 is the pilot: N uniform samples, contributed to the estimate
     * as a single stratum; its samples, bucketed by segment 1's own proxy
-    * quantiles, seed the allocation history (DESIGN.md §6, "Pilot
+    * quantiles, seed the allocation EWMA (DESIGN.md §6, "Pilot
     * segment"). Every later segment t:
     *
     *   1. GetStrata and SplitStream — the plan's strata under Ŝ_t, the
@@ -134,9 +137,12 @@ object InQuest {
     private val n = query.budgetPerSegment
     private val (n1, n2) = Allocation.splitBudget(n, params.defensiveFraction)
     private var history = Vector.empty[Step]
+    // â's EWMA over the raw allocations a_1 … a_{t−1} of the steps so far.
+    private var allocation = Stats.Ewma(params.alpha, params.k)
 
     /** Process the next segment from its plan; `oracle` is called once.
-      * Returns the segment's [[Step]].
+      * Returns the segment's [[Step]]. The session's state changes only
+      * once the step is complete, so a step that throws changes nothing.
       */
     def step(plan: SegmentPlan, oracle: Oracle): Step = {
       val t = history.size
@@ -151,7 +157,7 @@ object InQuest {
             (sizes(k), sample.filter(java.util.Arrays.binarySearch(plan.strata(k), _) >= 0))), SampleTag)
           (obs.take(1), obs.tail)
         } else {
-          val aHat = Allocation.smooth(history.map(_.rawAllocation), params.alpha)
+          val aHat = Allocation.normalized(allocation.value)
           val c = Allocation.capToSizes(Allocation.sampleCounts(aHat, n1, n2), sizes)
           val tag = SampleTag + t + 1
           val obs = oracle(sizes.indices.map(k =>
@@ -162,6 +168,7 @@ object InQuest {
       val segCalls = segCells.map(_.nSampled.toLong).sum
       require(segCalls <= n, s"oracle budget exceeded in segment $t: $segCalls > $n")
       val record = Step(t, plan.boundaries, segCells, Allocation.rawAllocation(allocCells))
+      allocation = allocation.add(record.rawAllocation)
       history :+= record
       record
     }

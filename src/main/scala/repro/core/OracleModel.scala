@@ -65,5 +65,4 @@ final class OracleModel(
   }
 
   def totalCalls: Long = callsPerSegment.sum
-  def callsInSegment(t: Int): Long = callsPerSegment(t)
 }

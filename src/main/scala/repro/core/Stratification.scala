@@ -4,7 +4,7 @@ import repro.util.Stats
 import scala.collection.immutable.ArraySeq
 
 /** GetStrata (Algorithm 2): proxy-quantile stratification. The EWMA over
-  * the segment history is `Stats.ewmaVec`, a record's stratum
+  * the segment history is `Stats.Ewma`, a record's stratum
   * `Stats.stratumOf`.
   */
 object Stratification {

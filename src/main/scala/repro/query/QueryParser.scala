@@ -9,18 +9,14 @@ import repro.core.{AggFunc, QueryConfig}
   */
 final case class Interval(value: Long, unit: String) {
   require(value > 0, s"interval must be positive, got $value")
+  require(Interval.RecordUnits.contains(unit) || Interval.SecondsPerUnit.contains(unit),
+    s"unknown interval unit '$unit'")
 
   /** Number of stream records this interval spans. `recordsPerSecond`
     * is required only for time-based units (e.g. 30 fps video).
     */
   def toRecords(recordsPerSecond: Double = Double.NaN): Long =
-    unit match {
-      case u if Interval.RecordUnits.contains(u) => value
-      case "SECOND" | "SECONDS" => time(1, recordsPerSecond)
-      case "MINUTE" | "MINUTES" => time(60, recordsPerSecond)
-      case "HOUR" | "HOURS"     => time(3600, recordsPerSecond)
-      case other => throw new IllegalArgumentException(s"unknown interval unit '$other'")
-    }
+    if (Interval.RecordUnits.contains(unit)) value else time(Interval.SecondsPerUnit(unit), recordsPerSecond)
 
   /** Multiplied in `Double`, which is exact below 2^53 and, unlike a
     * `Long` product, cannot wrap: an overlong span saturates at
@@ -35,6 +31,8 @@ final case class Interval(value: Long, unit: String) {
 
 object Interval {
   val RecordUnits: Set[String] = Set("RECORD", "RECORDS", "FRAME", "FRAMES", "TWEET", "TWEETS")
+  val SecondsPerUnit: Map[String, Long] =
+    Map("SECOND" -> 1L, "SECONDS" -> 1L, "MINUTE" -> 60L, "MINUTES" -> 60L, "HOUR" -> 3600L, "HOURS" -> 3600L)
 }
 
 /** Parsed form of an InQuest query (paper Figure 2). */
@@ -77,7 +75,9 @@ final case class ParsedQuery(
   *
   * Numbers may contain thousands-separator commas and be quoted, exactly
   * as in the paper's examples (`INTERVAL '108,000' FRAMES`,
-  * `ORACLE LIMIT 1,000`).
+  * `ORACLE LIMIT 1,000`): plain digits, or groups of three after the
+  * first. A malformed number or an interval unit that is neither a record
+  * nor a time unit is rejected, naming its clause.
   */
 object QueryParser {
 
@@ -93,7 +93,16 @@ object QueryParser {
       """(?:\s+DURATION\s+INTERVAL\s+'?([\d,]+)'?\s+(\w+))?""" +
       """\s+USING\s+(\S+)\s*;?\s*""").r
 
-  private def num(s: String): Long = s.replace(",", "").toLong
+  private val NumberRe = """\d+|\d{1,3}(,\d{3})+""".r
+
+  private def num(s: String): Long = {
+    require(NumberRe.matches(s), s"malformed number '$s'")
+    s.replace(",", "").toLong
+  }
+
+  /** `body`, whose argument errors name the clause they are in. */
+  private def in[A](clause: String)(body: => A): A =
+    try body catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"$clause: ${e.getMessage}", e) }
 
   def parse(sql: String): ParsedQuery = sql match {
     case QueryRe(agg, expr, dataset, where1, winCol, winVal, winUnit, where2,
@@ -111,13 +120,13 @@ object QueryParser {
         dataset = dataset,
         predicate = where.map(_.trim).filter(_.nonEmpty),
         windowColumn = winCol,
-        window = Interval(num(winVal), winUnit.toUpperCase),
-        oracleLimit = {
+        window = in("TUMBLE")(Interval(num(winVal), winUnit.toUpperCase)),
+        oracleLimit = in("ORACLE LIMIT") {
           val n = num(limit)
           require(n > 0 && n <= Int.MaxValue, s"oracle limit out of range: $n")
           n.toInt
         },
-        duration = Option(durVal).map(v => Interval(num(v), durUnit.toUpperCase)),
+        duration = Option(durVal).map(v => in("DURATION")(Interval(num(v), durUnit.toUpperCase))),
         proxy = proxy.trim,
       )
     case _ =>

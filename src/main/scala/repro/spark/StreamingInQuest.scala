@@ -34,11 +34,13 @@ final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predi
   * record-at-a-time [[repro.core.InQuest]] engine is asserted in
   * `SparkInQuestSpec` and `StreamingInQuestSpec`.
   *
-  * The source must deliver whole segments per batch (the tests feed a
+  * The source must deliver whole segments per batch, in order: batch t
+  * holds the records with `idx` in `[t·L, (t+1)·L)`, L the segment length,
+  * as `StreamDataset.segments` defines segment t (the tests feed a
   * `MemoryStream` one segment at a time; a production deployment would use
   * a rate/Kafka source with a segment-sized trigger). Records inside a
   * batch may arrive in any order and partitioning, but each only once: a
-  * batch that repeats an `idx` fails.
+  * batch that repeats an `idx` or holds one outside its window fails.
   */
 final class StreamingInQuest(
     params: InQuestParams,
@@ -84,9 +86,11 @@ final class StreamingInQuest(
 
   def steps: Vector[InQuest.Step] = session.steps
 
-  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies and
-    * repeated `idx`s are rejected, naming the smallest bad `idx`: a
-    * repeated record would count twice in |D_tk| and in the sample.
+  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies,
+    * repeated `idx`s and `idx`s outside segment t's tumbling window
+    * `[t·L, (t+1)·L)` are rejected, naming the smallest bad `idx`: a
+    * repeated record would count twice in |D_tk| and in the sample, and a
+    * replayed, merged or skipped window would be estimated as segment t.
     */
   private def collectKeys(segment: DataFrame): (Array[Long], Array[Double]) = {
     val rows = segment.select(col("idx"), col("proxy")).collect()
@@ -101,6 +105,11 @@ final class StreamingInQuest(
     var j = 1
     while (j < sorted.length && sorted(j) != sorted(j - 1)) j += 1
     require(j >= sorted.length, s"idx ${sorted(j)} appears more than once in the segment")
+    // Sorted, so the keys lie in the window when both ends do; only the
+    // error message scans them.
+    val (t, l) = (session.steps.size, query.segmentLength.toLong)
+    require(sorted.isEmpty || (sorted.head >= t * l && sorted.last < (t + 1) * l),
+      s"idx ${sorted.find(i => i < t * l || i >= (t + 1) * l).get} lies outside segment $t's window [${t * l}, ${(t + 1) * l})")
     (idx, proxy)
   }
 

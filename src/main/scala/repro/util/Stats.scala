@@ -1,8 +1,8 @@
 package repro.util
 
 /** Small statistics toolkit shared by the core algorithm, the baselines and
-  * the evaluation harness. Pure functions over in-memory sequences; both
-  * engines run them on the driver.
+  * the evaluation harness. Pure functions over in-memory sequences, and
+  * the immutable [[Stats.Ewma]] state; both engines run them on the driver.
   */
 object Stats {
 
@@ -10,18 +10,6 @@ object Stats {
     require(xs.nonEmpty, "mean of empty sequence")
     xs.sum / xs.size
   }
-
-  /** Unbiased (n-1) sample variance; 0 for fewer than two observations,
-    * matching Algorithm 2's guard (`if |X+| > 1 else 0`).
-    */
-  def sampleVariance(xs: Seq[Double]): Double =
-    if (xs.size < 2) 0.0
-    else {
-      val m = mean(xs)
-      xs.map(x => (x - m) * (x - m)).sum / (xs.size - 1)
-    }
-
-  def sampleStd(xs: Seq[Double]): Double = math.sqrt(sampleVariance(xs))
 
   def rmse(errors: Seq[Double]): Double = {
     require(errors.nonEmpty, "rmse of empty sequence")
@@ -57,36 +45,36 @@ object Stats {
     if (sxx == 0 || syy == 0) 0.0 else sxy / math.sqrt(sxx * syy)
   }
 
-  /** History EWMA per DESIGN.md §6: `Σ_i (1−α)^{m−i} x_i / Σ_i (1−α)^{m−i}`.
-    *
-    * α = 0 reduces to the unweighted mean of the history (the assumption in
-    * Theorems 1–2); α → 1 weights the newest element only (α = 0.8 is the
-    * paper's "aggressive" default). `history` is ordered oldest → newest.
+  /** The history EWMA of DESIGN.md §6 over equal-length vectors
+    * x_1 … x_m, oldest first: element-wise
+    * `Σ_i (1−α)^{m−i} x_i / Σ_i (1−α)^{m−i}`. It is kept by its
+    * recurrence `num ← (1−α)·num + x`, `den ← (1−α)·den + 1`, so adding a
+    * vector costs O(dim) however long the history is; the result equals
+    * the closed form up to rounding. α = 0 gives the unweighted mean of
+    * the history (the assumption in Theorems 1–2); α = 1 makes the decay
+    * 0, which leaves the newest vector (α = 0.8 is the paper's
+    * "aggressive" default). Immutable: `add` returns the next state.
     */
-  def ewma(history: Seq[Double], alpha: Double): Double = {
-    require(history.nonEmpty, "ewma of empty history")
-    require(alpha >= 0 && alpha <= 1, s"alpha must be in [0,1], got $alpha")
-    if (alpha == 1.0) history.last
-    else {
-      val decay = 1.0 - alpha
-      val m = history.size
-      var num = 0.0; var den = 0.0
-      var i = 0
-      while (i < m) {
-        val w = math.pow(decay, (m - 1 - i).toDouble)
-        num += w * history(i); den += w
-        i += 1
-      }
-      num / den
+  final class Ewma private (decay: Double, num: Array[Double], den: Double) {
+    /** The state with `x` added as the newest vector. */
+    def add(x: Array[Double]): Ewma = {
+      require(x.length == num.length, s"an EWMA of ${num.length}-vectors was given a ${x.length}-vector")
+      new Ewma(decay, Array.tabulate(x.length)(j => decay * num(j) + x(j)), decay * den + 1)
+    }
+
+    /** The EWMA of the vectors added so far. */
+    def value: Array[Double] = {
+      require(den > 0, "EWMA of an empty history")
+      num.map(_ / den)
     }
   }
 
-  /** Element-wise EWMA over a history of equal-length vectors. */
-  def ewmaVec(history: Seq[Array[Double]], alpha: Double): Array[Double] = {
-    require(history.nonEmpty, "ewmaVec of empty history")
-    val dim = history.head.length
-    require(history.forall(_.length == dim), "ewmaVec history has ragged vectors")
-    Array.tabulate(dim)(j => ewma(history.map(_(j)), alpha))
+  object Ewma {
+    /** The empty history of `dim`-vectors. */
+    def apply(alpha: Double, dim: Int): Ewma = {
+      require(alpha >= 0 && alpha <= 1, s"alpha must be in [0,1], got $alpha")
+      new Ewma(1.0 - alpha, new Array[Double](dim), 0.0)
+    }
   }
 
   /** Empirical quantile boundaries splitting `xs` into K equal-count strata.

@@ -16,6 +16,19 @@ class ABaeSpec extends AnyFunSuite {
     assert(r.oracleCalls == 500, s"got ${r.oracleCalls}")
   }
 
+  test("a total budget N·T below K caps the pilot: at most N·T calls, finite estimates") {
+    def prefix(n: Int) = StreamDataset("ab", ds.proxy.take(n), ds.statistic.take(n), ds.predicate.take(n))
+    // One 4000-record segment at N = 1 or 2, or two at N = 1.
+    Seq((prefix(4000), 1), (prefix(4000), 2), (prefix(8000), 1)).foreach { case (d, n) =>
+      val q = query.copy(budgetPerSegment = n)
+      val nt = d.segments(q.segmentLength).size * n
+      assert(nt < 3)
+      val r = new ABae(3).run(d, q, 1)
+      assert(r.oracleCalls <= nt, s"N·T = $nt: ${r.oracleCalls} calls")
+      assert((r.perSegment :+ r.finalEstimate).forall(java.lang.Double.isFinite), s"N·T = $nt")
+    }
+  }
+
   test("sample reuse: pilot and stage-2 samples never overlap") {
     // if they overlapped, dedup in OracleModel would push calls below NT
     (1L to 10L).foreach { s =>

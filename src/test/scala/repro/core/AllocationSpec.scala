@@ -51,6 +51,7 @@ class AllocationSpec extends AnyFunSuite {
     assert(Allocation.smooth(h, 1.0).toSeq == Seq(0.0, 1.0))
     val mean = Allocation.smooth(h, 0.0)
     assert(math.abs(mean(0) - 0.5) < 1e-12 && math.abs(mean(1) - 0.5) < 1e-12)
+    assertThrows[IllegalArgumentException](Allocation.smooth(Seq.empty, 0.5))
   }
 
   test("sampleCounts adds the defensive floor and sums to the budget") {

@@ -59,7 +59,8 @@ class InQuestSpec extends AnyFunSuite {
     steps.zipWithIndex.foreach { case (s, t) => assert(s.t == t) }
     assert(steps.head.boundaries.toSeq == own.head.toSeq)
     steps.tail.foreach { s =>
-      assert(s.boundaries.toSeq == Stats.ewmaVec(own.take(s.t), params.alpha).toSeq, s"segment ${s.t}")
+      val smoothed = own.take(s.t).foldLeft(Stats.Ewma(params.alpha, params.k - 1))(_ add _)
+      assert(s.boundaries.toSeq == smoothed.value.toSeq, s"segment ${s.t}")
       assert(s.cells.map(_.nSampled).sum == query.budgetPerSegment, s"segment ${s.t}")
     }
   }

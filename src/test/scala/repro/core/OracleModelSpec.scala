@@ -14,11 +14,13 @@ class OracleModelSpec extends AnyFunSuite {
   }
 
   test("invocations are metered per segment") {
-    val m = model()
+    // A limit of 2 per segment admits both records of segment 0 and the
+    // first of segment 1, and then the second of segment 1.
+    val m = model(Some(2))
     m.invoke(0); m.invoke(1); m.invoke(2)
-    assert(m.callsInSegment(0) == 2)
-    assert(m.callsInSegment(1) == 1)
     assert(m.totalCalls == 3)
+    m.invoke(3)
+    assert(m.totalCalls == 4)
   }
 
   test("repeat invocations of the same record are counted once (caching)") {
@@ -58,7 +60,7 @@ class OracleModelSpec extends AnyFunSuite {
     val pooled = m.cell(2, Array(0L, 1L), usePredicate = true)
     val share = m.cell(1, Array(0L), usePredicate = true)
     assert(pooled.nSampled == 2 && share == StratumStats(1, 1, 1, 1.0, 1.0))
-    assert(m.callsInSegment(0) == 2 && m.totalCalls == 2)
+    assert(m.totalCalls == 2)
   }
 
   test("out-of-range record indices are rejected") {

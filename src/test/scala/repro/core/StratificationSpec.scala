@@ -38,20 +38,23 @@ class StratificationSpec extends AnyFunSuite {
     strata.foreach(s => assert(math.abs(s.size - 3000) <= 2, s"stratum size ${s.size}"))
   }
 
+  private def smoothed(h: Seq[Array[Double]], alpha: Double): Array[Double] =
+    h.foldLeft(Stats.Ewma(alpha, h.head.length))(_ add _).value
+
   test("smooth with alpha=1 returns the newest boundaries") {
     val h = Seq(Array(0.1, 0.2), Array(0.4, 0.6))
-    assert(Stats.ewmaVec(h, 1.0).toSeq == Seq(0.4, 0.6))
+    assert(smoothed(h, 1.0).toSeq == Seq(0.4, 0.6))
   }
 
   test("smooth with alpha=0 averages the history") {
     val h = Seq(Array(0.0, 0.2), Array(0.4, 0.6))
-    val s = Stats.ewmaVec(h, 0.0)
+    val s = smoothed(h, 0.0)
     assert(math.abs(s(0) - 0.2) < 1e-12 && math.abs(s(1) - 0.4) < 1e-12)
   }
 
   test("smoothed boundaries of sorted histories stay sorted") {
     val h = Seq(Array(0.1, 0.5), Array(0.3, 0.4), Array(0.2, 0.9))
-    val s = Stats.ewmaVec(h, 0.8)
+    val s = smoothed(h, 0.8)
     assert(s(0) <= s(1))
   }
 

@@ -5,6 +5,12 @@ import repro.util.Stats
 
 class StreamGenSpec extends AnyFunSuite {
 
+  /** Unbiased (n−1) sample standard deviation. */
+  private def std(xs: Seq[Double]): Double = {
+    val m = Stats.mean(xs)
+    math.sqrt(xs.map(x => (x - m) * (x - m)).sum / (xs.size - 1))
+  }
+
   test("normalize maps to [0,1] preserving order; constant maps to zeros") {
     val n = StreamGen.normalize(Array(2.0, 4.0, 6.0))
     assert(n.toSeq == Seq(0.0, 0.5, 1.0))
@@ -60,12 +66,12 @@ class StreamGenSpec extends AnyFunSuite {
     val ds = StreamGen.videoLike("v", 200000, 0.5, 0.9, seed = 16)
     val block = 20000
     val blockMeans = ds.statistic.grouped(block).map(b => b.sum / b.length).toSeq
-    val globalStd = Stats.sampleStd(ds.statistic.toSeq)
+    val globalStd = std(ds.statistic.toSeq)
     val iidStd = globalStd / math.sqrt(block.toDouble)
     // under iid the block means would concentrate ~iidStd; smooth drift
     // makes them vary orders of magnitude more
-    assert(Stats.sampleStd(blockMeans) > 5 * iidStd,
-      s"block-mean std ${Stats.sampleStd(blockMeans)} vs iid $iidStd")
+    assert(std(blockMeans) > 5 * iidStd,
+      s"block-mean std ${std(blockMeans)} vs iid $iidStd")
   }
 
   test("videoLike is deterministic in its seed") {

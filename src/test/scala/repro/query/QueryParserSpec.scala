@@ -109,6 +109,43 @@ class QueryParserSpec extends AnyFunSuite {
     assert(Interval(500, "TWEETS").toRecords() == 500)
   }
 
+  test("a malformed number is rejected at parse time, naming its clause") {
+    def query(window: String, limit: String) =
+      s"SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL $window RECORDS) ORACLE LIMIT $limit USING p"
+    Seq("'1,0'", "'10,00'", "',100'", "'100,'", "'1,,000'", "'1000,000'").foreach { w =>
+      val e = intercept[IllegalArgumentException](QueryParser.parse(query(w, "5")))
+      assert(e.getMessage.contains("TUMBLE") && e.getMessage.contains(w.stripPrefix("'").stripSuffix("'")), e.getMessage)
+    }
+    Seq("'5,0'", "5,0", "1,00,000").foreach { l =>
+      val e = intercept[IllegalArgumentException](QueryParser.parse(query("'10'", l)))
+      assert(e.getMessage.contains("ORACLE LIMIT"), e.getMessage)
+    }
+    val e = intercept[IllegalArgumentException](QueryParser.parse(
+      "SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL '10' RECORDS) ORACLE LIMIT 5 DURATION INTERVAL '1,0' HOURS USING p"))
+    assert(e.getMessage.contains("DURATION"), e.getMessage)
+  }
+
+  test("an unknown interval unit is rejected at parse time, naming its clause") {
+    val tumble = intercept[IllegalArgumentException](QueryParser.parse(
+      "SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL '5' BANANAS) ORACLE LIMIT 5 USING p"))
+    assert(tumble.getMessage.contains("TUMBLE") && tumble.getMessage.contains("BANANAS"), tumble.getMessage)
+    val duration = intercept[IllegalArgumentException](QueryParser.parse(
+      "SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL '5' RECORDS) ORACLE LIMIT 5 DURATION INTERVAL '2' WEEKS USING p"))
+    assert(duration.getMessage.contains("DURATION") && duration.getMessage.contains("WEEKS"), duration.getMessage)
+  }
+
+  test("the benchmark's window spellings and every known unit still parse") {
+    Seq("'100,000' FRAMES" -> 100000L, "'500,000' RECORDS" -> 500000L, "'20,000' RECORDS" -> 20000L,
+        "7 record" -> 7L, "'12' Tweets" -> 12L).foreach { case (w, n) =>
+      val q = QueryParser.parse(s"SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL $w) ORACLE LIMIT '5' USING p")
+      assert(q.window.value == n && q.oracleLimit == 5, w)
+    }
+    Seq("SECOND", "SECONDS", "MINUTE", "MINUTES", "HOUR", "HOURS").foreach { u =>
+      val q = QueryParser.parse(s"SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL '2' $u) ORACLE LIMIT 5 USING p")
+      assert(q.window == Interval(2, u))
+    }
+  }
+
   test("unknown interval units are rejected at conversion") {
     assertThrows[IllegalArgumentException](Interval(5, "FORTNIGHTS").toRecords(1.0))
   }

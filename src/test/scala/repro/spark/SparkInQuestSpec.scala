@@ -206,6 +206,30 @@ class SparkInQuestSpec extends SparkSpec {
     assertLocalTrace(engine, ds, query, 8L)
   }
 
+  test("a batch outside its tumbling window fails, naming the smallest such idx; its clean retry gives the local trace") {
+    val df = SparkData.toDF(spark, ds, partitions = 3)
+    val l = query.segmentLength
+    def windows(from: Int, until: Int) = df.filter(col("idx") >= from * l && col("idx") < until * l)
+    // Per segment t: a wrong batch and the smallest idx outside window t.
+    val wrong = Map(
+      0 -> ("a skipped window", windows(1, 2), l),
+      1 -> ("a replayed window", windows(0, 1), 0),
+      2 -> ("two windows in one batch", windows(2, 4), 3 * l))
+    val engine = new StreamingInQuest(InQuestParams(), query, 10L)
+    ds.segments(l).zipWithIndex.foreach { case (seg, t) =>
+      wrong.get(t).foreach { case (name, batch, first) =>
+        val before = engine.latestEstimate
+        val e = intercept[IllegalArgumentException](engine.processBatch(batch))
+        assert(e.getMessage.contains(s"idx $first lies outside segment $t's window [${t * l}, ${(t + 1) * l})"),
+          s"$name: ${e.getMessage}")
+        assert(engine.steps.size == t && engine.result.perSegment.length == t, name)
+        assert(engine.latestEstimate == before, name)
+      }
+      engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end))
+    }
+    assertLocalTrace(engine, ds, query, 10L)
+  }
+
   test("an empty segment changes nothing") {
     val df = SparkData.toDF(spark, ds)
     val engine = new StreamingInQuest(InQuestParams(), query, 2L)

@@ -15,26 +15,6 @@ class StatsSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](Stats.mean(Seq.empty))
   }
 
-  test("sampleVariance matches hand computation") {
-    assert(math.abs(Stats.sampleVariance(Seq(2, 4, 4, 4, 5, 5, 7, 9.0)) - 32.0 / 7) < eps)
-  }
-  test("sampleVariance of singleton and empty is 0 (Algorithm 2 guard)") {
-    assert(Stats.sampleVariance(Seq(3.0)) == 0.0)
-    assert(Stats.sampleVariance(Seq.empty) == 0.0)
-  }
-  test("sampleVariance is non-negative and shift-invariant") {
-    forAllSampled(smallVec, n = 100) { xs =>
-      val v = Stats.sampleVariance(xs)
-      assert(v >= 0)
-      assert(math.abs(v - Stats.sampleVariance(xs.map(_ + 17.0))) < 1e-6)
-    }
-  }
-  test("sampleStd is the square root of the variance") {
-    forAllSampled(smallVec, n = 50) { xs =>
-      assert(math.abs(Stats.sampleStd(xs) - math.sqrt(Stats.sampleVariance(xs))) < eps)
-    }
-  }
-
   test("rmse of known errors") {
     assert(math.abs(Stats.rmse(Seq(3.0, -4.0)) - math.sqrt(12.5)) < eps)
   }
@@ -84,35 +64,79 @@ class StatsSpec extends AnyFunSuite {
     }
   }
 
+  /** The EWMA state folded over `history`, oldest first. */
+  private def ewmaVec(history: Seq[Array[Double]], alpha: Double): Array[Double] =
+    history.foldLeft(Stats.Ewma(alpha, history.head.length))(_ add _).value
+
+  private def ewma(history: Seq[Double], alpha: Double): Double = ewmaVec(history.map(Array(_)), alpha)(0)
+
+  /** DESIGN.md §6's closed form, `Σ_i (1−α)^{m−i} x_i / Σ_i (1−α)^{m−i}`,
+    * element-wise.
+    */
+  private def closedForm(history: Seq[Array[Double]], alpha: Double): Array[Double] = {
+    val m = history.size
+    val w = (1 to m).map(i => math.pow(1 - alpha, (m - i).toDouble))
+    Array.tabulate(history.head.length)(j => history.indices.map(i => w(i) * history(i)(j)).sum / w.sum)
+  }
+
   test("ewma with alpha=0 is the unweighted history mean (Theorems' assumption)") {
-    assert(math.abs(Stats.ewma(Seq(1, 2, 3, 4.0), 0.0) - 2.5) < eps)
+    assert(math.abs(ewma(Seq(1, 2, 3, 4.0), 0.0) - 2.5) < eps)
   }
   test("ewma with alpha=1 is the most recent value") {
-    assert(Stats.ewma(Seq(1, 2, 3, 4.0), 1.0) == 4.0)
+    assert(ewma(Seq(1, 2, 3, 4.0), 1.0) == 4.0)
   }
   test("ewma of a singleton is that value for any alpha") {
     forAllSampled(Gen.chooseNum(0.0, 1.0), n = 50) { a =>
-      assert(Stats.ewma(Seq(7.5), a) == 7.5)
+      assert(ewma(Seq(7.5), a) == 7.5)
     }
   }
   test("ewma with alpha=0.8 weights the newest 5x more than the previous") {
     // weights: (1-α)^1=0.2 for x1, (1-α)^0=1 for x2 → (0.2·0 + 1·1)/1.2
-    assert(math.abs(Stats.ewma(Seq(0.0, 1.0), 0.8) - 1.0 / 1.2) < eps)
+    assert(math.abs(ewma(Seq(0.0, 1.0), 0.8) - 1.0 / 1.2) < eps)
   }
   test("ewma stays within [min, max] of the history") {
     forAllSampled(Gen.zip(smallVec, Gen.chooseNum(0.0, 1.0)), n = 100) { case (xs, a) =>
-      val e = Stats.ewma(xs, a)
+      val e = ewma(xs, a)
       assert(e >= xs.min - 1e-9 && e <= xs.max + 1e-9)
     }
   }
   test("ewmaVec applies ewma element-wise") {
     val h = Seq(Array(0.0, 10.0), Array(1.0, 20.0))
-    val e = Stats.ewmaVec(h, 0.0)
+    val e = ewmaVec(h, 0.0)
     assert(math.abs(e(0) - 0.5) < eps && math.abs(e(1) - 15.0) < eps)
   }
   test("ewmaVec rejects ragged histories") {
     assertThrows[IllegalArgumentException](
-      Stats.ewmaVec(Seq(Array(1.0), Array(1.0, 2.0)), 0.5))
+      ewmaVec(Seq(Array(1.0), Array(1.0, 2.0)), 0.5))
+  }
+
+  test("Ewma equals the closed form within 1e-12 relative on histories of up to 200 vectors") {
+    // Entries in [0, 1), as proxy quantiles and allocations are: a sum of
+    // non-negative terms has no cancellation, so its relative error stays
+    // near m·2^-53 in both forms.
+    val gen = Gen.zip(Gen.chooseNum(1, 200), Gen.chooseNum(1, 4), Gen.oneOf(0.0, 0.3, 0.8), Gen.chooseNum(0L, 1L << 40))
+    forAllSampled(gen, n = 100) { case (m, dim, alpha, seed) =>
+      val h = Seq.tabulate(m)(i => Array.tabulate(dim)(j => Rng.uniform(seed, (i * dim + j).toLong)))
+      ewmaVec(h, alpha).zip(closedForm(h, alpha)).foreach { case (x, y) =>
+        assert(math.abs(x - y) <= 1e-12 * math.max(math.abs(x), math.abs(y)), s"m=$m α=$alpha: $x vs $y")
+      }
+    }
+  }
+  test("Ewma is exact for one or two vectors") {
+    val h = Seq(Array(0.1, -3.7, 2e-5), Array(0.9, 1.3, 7e3))
+    for (alpha <- Seq(0.0, 0.3, 0.8, 1.0); m <- 1 to 2)
+      assert(ewmaVec(h.take(m), alpha).toSeq == closedForm(h.take(m), alpha).toSeq, s"m=$m α=$alpha")
+  }
+  test("Ewma is the newest vector at alpha=1 and the mean at alpha=0") {
+    val h = Seq(Array(1.0, -2.0), Array(0.5, 4.0), Array(2.25, 0.125))
+    assert(ewmaVec(h, 1.0).toSeq == h.last.toSeq)
+    assert(ewmaVec(h, 0.0).toSeq == Seq((1.0 + 0.5 + 2.25) / 3, (-2.0 + 4.0 + 0.125) / 3))
+  }
+  test("Ewma rejects a vector of another dimension and an empty history") {
+    val e = intercept[IllegalArgumentException](Stats.Ewma(0.5, 2).add(Array(1.0, 2.0)).add(Array(1.0)))
+    assert(e.getMessage.contains("2-vectors was given a 1-vector"), e.getMessage)
+    assertThrows[IllegalArgumentException](Stats.Ewma(0.5, 2).value)
+    assertThrows[IllegalArgumentException](Stats.Ewma(1.5, 2))
   }
 
   test("quantileBoundaries of 0..100 at K=4 are the quartiles") {
