@@ -25,13 +25,10 @@ final class UniformSampling extends StreamAlgorithm {
 
       val sampled = Reservoir.bottomNOfRange(0L, n.toLong, totalBudget, trialSeed, UniformSampling.SampleTag)
 
-      val perSegment = segs.map { seg =>
-        val cell = oracle.cell(seg.size.toLong, sampled.filter(i => seg.contains(i.toInt)), query.usePredicate)
-        Estimator.segmentEstimate(Seq(cell), query.agg)
-      }.toArray
-
-      val overall = oracle.cell(n.toLong, sampled, query.usePredicate)
-      RunResult(perSegment, Estimator.estimate(Seq(overall), query.agg), oracle.totalCalls)
+      def estimate(sizeD: Long, idxs: Array[Long]): Double =
+        Estimator.estimate(Seq(oracle.cell(sizeD, idxs, query.usePredicate)), query.agg)
+      val perSegment = segs.map(seg => estimate(seg.size.toLong, sampled.filter(i => seg.contains(i.toInt)))).toArray
+      RunResult(perSegment, estimate(n.toLong, sampled), oracle.totalCalls)
     }
   }
 }

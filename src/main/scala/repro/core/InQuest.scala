@@ -23,10 +23,10 @@ final case class InQuestParams(
   */
 final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgorithm {
   /** [[prepare]], with the internals for the lesion study and theory
-    * tests: each trial returns its finished [[InQuest.Session]], whose
-    * `steps` hold one [[InQuest.Step]] per segment.
+    * tests: each trial returns the [[InQuest.Step]] of every segment, as
+    * `step` returned it, with the trial's [[RunResult]].
     */
-  def prepareTraced(ds: StreamDataset, query: QueryConfig): Long => InQuest.Session = {
+  def prepareTraced(ds: StreamDataset, query: QueryConfig): Long => (IndexedSeq[InQuest.Step], RunResult) = {
     val planner = new InQuest.Planner(params)
     val plans = ds.segments(query.segmentLength).map { seg =>
       val (idx, proxy) = ds.keys(seg)
@@ -40,15 +40,13 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
       // Each cell in ascending idx order, as `bottomN` returns it.
       val observe: InQuest.Oracle = (cells, _) =>
         cells.map { case (sizeD, idxs) => oracle.cell(sizeD, idxs, query.usePredicate) }
-      plans.foreach(session.step(_, observe))
-      session
+      val steps = plans.map(session.step(_, observe))
+      (steps, session.result)
     }
   }
 
-  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult = {
-    val traced = prepareTraced(ds, query)
-    trialSeed => traced(trialSeed).result
-  }
+  override def prepare(ds: StreamDataset, query: QueryConfig): Long => RunResult =
+    prepareTraced(ds, query).andThen(_._2)
 }
 
 object InQuest {
@@ -67,6 +65,7 @@ object InQuest {
     * and a_1 from its samples' shares in S_1's strata. For every later
     * segment: Ŝ_t, the K cells GetPrediction reads, and a_t, which the
     * next GetAlloc smooths. A segment's counts are `cells.map(_.nSampled)`.
+    * [[Session.step]] returns it and keeps only what later steps read.
     */
   final case class Step(t: Int, boundaries: Array[Double], cells: Seq[StratumStats], rawAllocation: Array[Double])
 
@@ -131,21 +130,29 @@ object InQuest {
     *   4. GetPrediction — per-segment and cumulative estimates.
     *
     * The sample is a pure function of `trialSeed` and the record indices
-    * (see [[repro.sampling.Reservoir.bottomN]]).
+    * (see [[repro.sampling.Reservoir.bottomN]]). The session keeps what
+    * the next segment and the answer read, not the steps: a segment
+    * counter, â's EWMA, the running GetPrediction state, the oracle calls
+    * and one estimate per segment, so a step costs the same at every t.
+    * Its state is several fields, so it takes one caller at a time.
     */
   final class Session(params: InQuestParams, query: QueryConfig, trialSeed: Long) {
     private val n = query.budgetPerSegment
     private val (n1, n2) = Allocation.splitBudget(n, params.defensiveFraction)
-    private var history = Vector.empty[Step]
     // â's EWMA over the raw allocations a_1 … a_{t−1} of the steps so far.
     private var allocation = Stats.Ewma(params.alpha, params.k)
+    // GetPrediction over every cell of the steps so far.
+    private var prediction = Estimator.Prediction.empty
+    private var oracleCalls = 0L
+    // μ̂_t of each step so far, one per segment.
+    private val perSegment = new scala.jdk.DoubleAccumulator
 
     /** Process the next segment from its plan; `oracle` is called once.
       * Returns the segment's [[Step]]. The session's state changes only
       * once the step is complete, so a step that throws changes nothing.
       */
     def step(plan: SegmentPlan, oracle: Oracle): Step = {
-      val t = history.size
+      val t = perSegment.length
       require(plan.t == t, s"plan of segment ${plan.t} given for segment $t")
       val sizes = plan.sizes
       val (segCells, allocCells) =
@@ -169,19 +176,18 @@ object InQuest {
       require(segCalls <= n, s"oracle budget exceeded in segment $t: $segCalls > $n")
       val record = Step(t, plan.boundaries, segCells, Allocation.rawAllocation(allocCells))
       allocation = allocation.add(record.rawAllocation)
-      history :+= record
+      prediction = segCells.foldLeft(prediction)(_ add _)
+      oracleCalls += segCalls
+      perSegment.addOne(Estimator.estimate(segCells, query.agg))
       record
     }
 
-    /** One [[Step]] per segment processed so far, the pilot first. */
-    def steps: Vector[Step] = history
+    /** The index of the next segment: the number stepped so far. */
+    def t: Int = perSegment.length
 
-    def result: RunResult = {
-      val cells = history.map(_.cells)
-      RunResult(
-        cells.map(Estimator.segmentEstimate(_, query.agg)).toArray,
-        Estimator.estimate(cells.flatten, query.agg),
-        cells.flatten.map(_.nSampled.toLong).sum)
-    }
+    /** The cumulative estimate over every segment stepped so far, in O(1). */
+    def estimate: Double = prediction.value(query.agg)
+
+    def result: RunResult = RunResult(perSegment.toArray, estimate, oracleCalls)
   }
 }

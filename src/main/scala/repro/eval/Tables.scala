@@ -2,7 +2,7 @@ package repro.eval
 
 import org.apache.spark.sql.SparkSession
 import repro.core._
-import repro.data.{Datasets, StreamGen}
+import repro.data.Datasets
 import repro.util.Stats
 
 /** Reproductions of the paper's evaluation tables (DESIGN.md §5). Each

@@ -91,7 +91,7 @@ object QueryParser {
       """(?:\s+WHERE\s+(.+?))?""" +
       """\s+ORACLE\s+LIMIT\s+'?([\d,]+)'?""" +
       """(?:\s+DURATION\s+INTERVAL\s+'?([\d,]+)'?\s+(\w+))?""" +
-      """\s+USING\s+(\S+)\s*;?\s*""").r
+      """\s+USING\s+([^\s;]+)\s*;?\s*""").r
 
   private val NumberRe = """\d+|\d{1,3}(,\d{3})+""".r
 

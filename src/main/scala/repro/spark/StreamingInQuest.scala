@@ -65,16 +65,17 @@ final class StreamingInQuest(
 
   /** Process the next tumbling segment; `segment` must hold exactly that
     * segment's records. Returns the segment's [[InQuest.Step]], or `None`
-    * when `segment` holds no records. A batch that holds no records or
-    * fails changes no state, so it can be retried. Also callable directly
-    * from a user-managed `foreachBatch` closure.
+    * when `segment` holds no records; the engine keeps no steps, so a
+    * caller that wants them keeps what this returns. A batch that holds
+    * no records or fails changes no state, so it can be retried. Also
+    * callable directly from a user-managed `foreachBatch` closure.
     */
   def processBatch(segment: DataFrame): Option[InQuest.Step] = synchronized {
     val (idx, proxy) = collectKeys(segment)
     if (idx.isEmpty) None
     else {
       val step = planner.add(idx, proxy)(session.step(_, invokeOracle(segment)))
-      latest = Some(session.result.finalEstimate)
+      latest = Some(session.estimate)
       Some(step)
     }
   }
@@ -82,9 +83,10 @@ final class StreamingInQuest(
   /** The user-facing real-time query answer (paper Figure 3, step 6). */
   def latestEstimate: Option[Double] = latest
 
-  def result: RunResult = session.result
-
-  def steps: Vector[InQuest.Step] = session.steps
+  /** The estimates so far. It waits for a batch in progress, so it never
+    * reads a half-committed step.
+    */
+  def result: RunResult = synchronized(session.result)
 
   /** Action 1: every record's `(idx, proxy)`. Non-finite proxies,
     * repeated `idx`s and `idx`s outside segment t's tumbling window
@@ -107,7 +109,7 @@ final class StreamingInQuest(
     require(j >= sorted.length, s"idx ${sorted(j)} appears more than once in the segment")
     // Sorted, so the keys lie in the window when both ends do; only the
     // error message scans them.
-    val (t, l) = (session.steps.size, query.segmentLength.toLong)
+    val (t, l) = (session.t, query.segmentLength.toLong)
     require(sorted.isEmpty || (sorted.head >= t * l && sorted.last < (t + 1) * l),
       s"idx ${sorted.find(i => i < t * l || i >= (t + 1) * l).get} lies outside segment $t's window [${t * l}, ${(t + 1) * l})")
     (idx, proxy)

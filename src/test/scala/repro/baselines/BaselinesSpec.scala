@@ -48,6 +48,19 @@ class BaselinesSpec extends AnyFunSuite {
     assert(math.abs(Stats.mean(finals) - truth) < 0.1)
   }
 
+  test("uniform: a segment whose only matches are −0.0 estimates −0.0, as the other algorithms do") {
+    val n = 40
+    val proxy = Array.tabulate(n)(i => i / n.toDouble)
+    val statistic = Array.tabulate(n)(i => if (i < 20) -0.0 else 1.5)
+    val d = StreamDataset("signed-zero", proxy, statistic, Array.fill(n)(true))
+    Seq(AggFunc.Avg, AggFunc.Sum).foreach { agg =>
+      val q = QueryConfig(agg, segmentLength = 20, budgetPerSegment = 5)
+      val r = new UniformSampling().run(d, q, 1)
+      assert(java.lang.Double.doubleToLongBits(r.perSegment(0)) == java.lang.Double.doubleToLongBits(-0.0), s"$agg")
+      assert(r.perSegment(1) == (if (agg == AggFunc.Avg) 1.5 else 1.5 * 20))
+    }
+  }
+
   // ---------------- fixed stratified ----------------
 
   test("stratified: the full per-segment budget is used (spill on sparse strata)") {

@@ -1,7 +1,10 @@
 package repro.core
 
+import java.lang.Double.doubleToLongBits
 import org.apache.spark.sql.functions._
+import org.scalacheck.Gen
 import repro.{Oracle, SparkSpec}
+import repro.testkit.Checks.forAllSampled
 
 class EstimatorSpec extends SparkSpec {
 
@@ -34,6 +37,24 @@ class EstimatorSpec extends SparkSpec {
     val seg2 = Seq(StratumStats.fromSamples(100, Seq((3.0, true))))
     // equal weights → mean of 1 and 3
     assert(math.abs(Estimator.estimate(Seq(seg1, seg2).flatten, AggFunc.Avg) - 2.0) < 1e-12)
+  }
+
+  test("estimate over a Vector equals the Seq.sum form bit for bit, −0.0 included") {
+    val value = Gen.frequency(3 -> Gen.chooseNum(-50.0, 50.0), 1 -> Gen.const(-0.0))
+    val cell = Gen.zip(Gen.chooseNum(0L, 1000L), Gen.listOf(Gen.zip(value, Gen.oneOf(true, false))))
+      .map { case (sizeD, obs) => StratumStats.fromSamples(sizeD, obs.take(12)) }
+    val gen = Gen.zip(Gen.listOf(cell).map(_.take(8).toVector), Gen.oneOf(AggFunc.Avg, AggFunc.Sum, AggFunc.Count))
+    forAllSampled(gen, n = 300) { case (cs, agg) =>
+      val weighted = cs.map(c => (c.muHat, c.pHat * c.sizeD))
+      val reference = agg match {
+        case AggFunc.Avg =>
+          val den = weighted.map(_._2).sum
+          if (den <= 0) 0.0 else weighted.map { case (m, w) => m * w }.sum / den
+        case AggFunc.Sum   => weighted.map { case (m, w) => m * w }.sum
+        case AggFunc.Count => weighted.map(_._2).sum
+      }
+      assert(doubleToLongBits(Estimator.estimate(cs, agg)) == doubleToLongBits(reference), s"$agg $cs")
+    }
   }
 
   test("single full-coverage cell recovers the exact answer") {

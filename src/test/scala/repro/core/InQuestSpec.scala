@@ -1,7 +1,10 @@
 package repro.core
 
+import java.lang.Double.doubleToLongBits
+import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.StreamGen
+import repro.testkit.Checks
 import repro.util.Stats
 
 class InQuestSpec extends AnyFunSuite {
@@ -41,7 +44,7 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("trace exposes K strata boundaries and counts per post-pilot segment") {
-    val steps = new InQuest(InQuestParams(k = 3)).prepareTraced(ds, query)(1).steps
+    val steps = new InQuest(InQuestParams(k = 3)).prepareTraced(ds, query)(1)._1
     assert(steps.size == 5)
     steps.foreach(s => assert(s.boundaries.length == 2 && s.rawAllocation.length == 3))
     assert(steps.head.cells.size == 1) // pilot is a single stratum
@@ -53,7 +56,7 @@ class InQuestSpec extends AnyFunSuite {
 
   test("steps: t is the position, boundaries are S_1 then Ŝ_t, post-pilot counts sum to N") {
     val params = InQuestParams(k = 3)
-    val steps = new InQuest(params).prepareTraced(ds, query)(1).steps
+    val steps = new InQuest(params).prepareTraced(ds, query)(1)._1
     val own = ds.segments(query.segmentLength).map(seg => Stratification.quantileStrata(seg.map(ds.proxy), 3))
     assert(steps.size == own.size)
     steps.zipWithIndex.foreach { case (s, t) => assert(s.t == t) }
@@ -84,7 +87,7 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("defensive floor guarantees samples in every stratum after the pilot") {
-    val steps = new InQuest(InQuestParams(defensiveFraction = 0.1)).prepareTraced(ds, query)(3).steps
+    val steps = new InQuest(InQuestParams(defensiveFraction = 0.1)).prepareTraced(ds, query)(3)._1
     steps.tail.map(_.cells.map(_.nSampled)).foreach { c =>
       // N1 = 10, K = 3 → at least 3 per stratum
       assert(c.forall(_ >= 3), s"stratum starved: $c")
@@ -115,7 +118,7 @@ class InQuestSpec extends AnyFunSuite {
   }
 
   test("no-predicate queries treat every record as matching") {
-    val steps = new InQuest().prepareTraced(ds, query.copy(usePredicate = false))(5).steps
+    val steps = new InQuest().prepareTraced(ds, query.copy(usePredicate = false))(5)._1
     steps.flatMap(_.cells).foreach(c => assert(c.nPos == c.nSampled))
   }
 
@@ -159,5 +162,80 @@ class InQuestSpec extends AnyFunSuite {
     val cnts = (1 to 40).map(s => new InQuest().run(ds, qCnt, s.toLong).finalEstimate)
     assert(math.abs(Stats.mean(sums) - truthSum) / truthSum < 0.05)
     assert(math.abs(Stats.mean(cnts) - truthCnt) / truthCnt < 0.05)
+  }
+
+  /** The session's answer refolded from its steps: each step's cells
+    * estimated, then every cell as one `Vector`, then their samples summed.
+    */
+  private def refold(steps: Seq[InQuest.Step], agg: AggFunc): RunResult = {
+    val cells = steps.toVector.map(_.cells)
+    RunResult(cells.map(Estimator.estimate(_, agg)).toArray,
+      Estimator.estimate(cells.flatten, agg), cells.flatten.map(_.nSampled.toLong).sum)
+  }
+
+  private def bits(r: RunResult): (Seq[Long], Long, Long) =
+    (r.perSegment.toSeq.map(doubleToLongBits), doubleToLongBits(r.finalEstimate), r.oracleCalls)
+
+  /** One segment of `len` records per kind: 0 has non-integer statistics,
+    * 1 no matching record under the predicate, 2 statistics of −0.0 only.
+    */
+  private def mixedStream(kinds: Seq[Int], len: Int, seed: Long): StreamDataset = {
+    val rng = new scala.util.Random(seed)
+    val n = kinds.size * len
+    val proxy = Array.fill(n)(rng.nextDouble())
+    val statistic = Array.tabulate(n)(i => if (kinds(i / len) == 2) -0.0 else 3.7 * rng.nextGaussian() + 0.1)
+    val predicate = Array.tabulate(n)(i => kinds(i / len) != 1 && rng.nextDouble() < proxy(i))
+    StreamDataset("mixed", proxy, statistic, predicate)
+  }
+
+  test("the session's running result equals the refold of its steps, bit for bit") {
+    val q = QueryConfig(segmentLength = 200, budgetPerSegment = 30)
+    val aggs = Seq(AggFunc.Avg, AggFunc.Sum, AggFunc.Count)
+    val fixed = for {
+      kinds <- Seq(Seq(0), Seq(1), Seq(2), Seq(2, 1, 0, 2)); agg <- aggs; pred <- Seq(true, false)
+    } yield (kinds, agg, pred, 1L)
+    val sampled = Checks.samples(Gen.zip(
+      Gen.choose(1, 6).flatMap(Gen.listOfN(_, Gen.oneOf(0, 1, 2))), Gen.oneOf(aggs),
+      Gen.oneOf(true, false), Gen.choose(0L, 1000L)), n = 60)
+    (fixed ++ sampled).foreach { case (kinds, agg, pred, seed) =>
+      val query = q.copy(agg = agg, usePredicate = pred)
+      val (steps, result) = new InQuest().prepareTraced(mixedStream(kinds, q.segmentLength, seed), query)(seed)
+      assert(bits(result) == bits(refold(steps, agg)), s"$kinds $agg predicate=$pred seed=$seed")
+    }
+    // A lone −0.0 cell keeps its sign in the cumulative estimate.
+    val (_, lone) = new InQuest().prepareTraced(mixedStream(Seq(2), q.segmentLength, 1L), q.copy(agg = AggFunc.Sum))(1L)
+    assert(doubleToLongBits(lone.finalEstimate) == doubleToLongBits(-0.0))
+  }
+
+  test("work per segment does not grow with t over 10 000 small segments") {
+    val (segments, len) = (10000, 16)
+    val d = StreamGen.videoLike("long", segments * len, 0.5, 0.9, seed = 5)
+    val q = QueryConfig(AggFunc.Avg, usePredicate = true, segmentLength = len, budgetPerSegment = 4)
+    val params = InQuestParams()
+    var sink = 0.0
+    // Nanoseconds of each step, with the cumulative estimate read after it
+    // as `processBatch` reads it.
+    def stepNanos(): Array[Long] = {
+      val planner = new InQuest.Planner(params)
+      val session = new InQuest.Session(params, q, 3L)
+      val oracle = new OracleModel(d.statistic, d.predicate, len, Some(q.budgetPerSegment))
+      val observe: InQuest.Oracle = (cells, _) =>
+        cells.map { case (sizeD, idxs) => oracle.cell(sizeD, idxs, q.usePredicate) }
+      d.segments(len).map { seg =>
+        val (idx, proxy) = d.keys(seg)
+        val t0 = System.nanoTime()
+        planner.add(idx, proxy)(session.step(_, observe))
+        sink += session.estimate
+        System.nanoTime() - t0
+      }.toArray
+    }
+    stepNanos() // warm-up
+    val runs = Seq.fill(3)(stepNanos())
+    // Each window's least total over the runs, so a GC pause in one run does not count.
+    def window(from: Int): Long = runs.map(_.slice(from, from + 1000).sum).min
+    val (early, late) = (window(1000), window(segments - 1000))
+    info(f"steps 9 000–10 000 took ${late.toDouble / early}%.2f× steps 1 000–2 000 (${late / 1e6}%.1f ms)")
+    assert(late <= 3 * early, s"the last 1 000 steps took $late ns, steps 1 000–2 000 took $early ns")
+    assert(!sink.isNaN)
   }
 }

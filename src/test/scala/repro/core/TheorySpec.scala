@@ -1,7 +1,6 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.StreamGen
 import repro.util.{Rng, Stats}
 
 /** Monte-Carlo checks of the paper's theoretical claims (Section 4) on
@@ -78,14 +77,14 @@ class TheorySpec extends AnyFunSuite {
     val aStar = Allocation.optimal(strata.map(_.size.toLong), p, sigma)
 
     val traced = new InQuest(params).prepareTraced(ds, query)
-    val trials = (1 to 60).map(s => traced(s.toLong))
+    val trials = (1 to 60).map(s => traced(s.toLong)._1)
     def allocError(t: Int): Double = Stats.mean(trials.map { tr =>
-      val c = tr.steps(t).cells.map(_.nSampled.toDouble)
+      val c = tr(t).cells.map(_.nSampled.toDouble)
       val a = c.map(_ / c.sum)
       a.zip(aStar).map { case (x, y) => val d = x - y; d * d }.sum // Σ (x−y)²
     })
     val early = allocError(1) // the first post-pilot segment
-    val late = allocError(trials.head.steps.size - 1)
+    val late = allocError(trials.head.size - 1)
     assert(late < early * 1.1,
       s"allocation error grew over time: early=$early late=$late")
     // and the final allocation is meaningfully close to optimal
@@ -137,14 +136,14 @@ class TheorySpec extends AnyFunSuite {
     val query = QueryConfig(AggFunc.Avg, usePredicate = false, segLen, budgetPerSegment = 100)
 
     val withDef = new InQuest(InQuestParams(k = 2, defensiveFraction = 0.1))
-      .prepareTraced(ds, query)(3)
+      .prepareTraced(ds, query)(3)._1
     // every post-pilot segment keeps at least N1/K samples in stratum 1
-    withDef.steps.tail.foreach(s => assert(s.cells(1).nSampled >= 5, s"starved: ${s.cells.map(_.nSampled)}"))
+    withDef.tail.foreach(s => assert(s.cells(1).nSampled >= 5, s"starved: ${s.cells.map(_.nSampled)}"))
 
     val noDef = new InQuest(InQuestParams(k = 2, defensiveFraction = 0.0))
-      .prepareTraced(ds, query)(3)
+      .prepareTraced(ds, query)(3)._1
     // without defense, the constant early segments drive stratum 1 to ~0
-    val second = noDef.steps(2).cells.map(_.nSampled) // the second post-pilot segment
+    val second = noDef(2).cells.map(_.nSampled) // the second post-pilot segment
     assert(second(1) <= 2, s"expected starvation without defense: $second")
   }
 }

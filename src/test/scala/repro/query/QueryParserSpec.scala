@@ -182,5 +182,9 @@ class QueryParserSpec extends AnyFunSuite {
     val q = QueryParser.parse(
       "  SELECT AVG( f(x) )  FROM  d   TUMBLE(i, INTERVAL '10' RECORDS) ORACLE LIMIT 5 USING p ;  ")
     assert(q.statistic == "f(x)")
+    assert(q.proxy == "p")
+    val tight = QueryParser.parse(
+      "SELECT AVG(f(x)) FROM d TUMBLE(i, INTERVAL '10' RECORDS) ORACLE LIMIT 5 USING p;")
+    assert(tight.proxy == "p")
   }
 }

@@ -23,16 +23,16 @@ class SparkInQuestSpec extends SparkSpec {
     segmentLength = 1200, budgetPerSegment = 60)
 
   /** The Catalyst engine stepped over `df`, one `processBatch` per
-    * segment of `d`; each batch returns the step the engine then holds.
+    * segment of `d`, and the step each batch returned.
     */
   private def catalyst(d: StreamDataset, df: DataFrame, q: QueryConfig, seed: Long,
-                       params: InQuestParams = InQuestParams()): StreamingInQuest = {
+                       params: InQuestParams = InQuestParams()): (StreamingInQuest, Seq[InQuest.Step]) = {
     val engine = new StreamingInQuest(params, q, seed)
-    d.segments(q.segmentLength).foreach { seg =>
-      val step = engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end))
-      assert(step.contains(engine.steps.last), s"segment ${engine.steps.size - 1}")
+    val steps = d.segments(q.segmentLength).map { seg =>
+      engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end))
+        .getOrElse(fail(s"the batch of idx ${seg.start} returned no step"))
     }
-    engine
+    (engine, steps)
   }
 
   /** Both engines on `d`: the same steps (boundaries, raw allocations,
@@ -41,15 +41,19 @@ class SparkInQuestSpec extends SparkSpec {
     * `partitions`, so its keys arrive out of `idx` order.
     */
   private def assertSameTrace(d: StreamDataset, q: QueryConfig, seed: Long,
-                              params: InQuestParams = InQuestParams(), partitions: Int = 3): Unit =
-    assertLocalTrace(catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params), d, q, seed, params)
+                              params: InQuestParams = InQuestParams(), partitions: Int = 3): Unit = {
+    val (cat, steps) = catalyst(d, SparkData.toDF(spark, d, partitions), q, seed, params)
+    assertLocalTrace(cat, steps, d, q, seed, params)
+  }
 
-  /** `cat` holds the local engine's steps and estimates on `d`. */
-  private def assertLocalTrace(cat: StreamingInQuest, d: StreamDataset, q: QueryConfig, seed: Long,
-                               params: InQuestParams = InQuestParams()): Unit = {
-    val local = new InQuest(params).prepareTraced(d, q)(seed)
-    assert(cat.steps.size == local.steps.size)
-    cat.steps.zip(local.steps).foreach { case (c, l) =>
+  /** `catSteps`, the steps `cat` returned, and `cat`'s estimates are the
+    * local engine's on `d`.
+    */
+  private def assertLocalTrace(cat: StreamingInQuest, catSteps: Seq[InQuest.Step], d: StreamDataset,
+                               q: QueryConfig, seed: Long, params: InQuestParams = InQuestParams()): Unit = {
+    val (localSteps, local) = new InQuest(params).prepareTraced(d, q)(seed)
+    assert(catSteps.size == localSteps.size)
+    catSteps.zip(localSteps).foreach { case (c, l) =>
       assert(c.t == l.t)
       assert(c.boundaries.toSeq == l.boundaries.toSeq, s"segment ${l.t}")
       assert(c.cells.map(x => (x.sizeD, x.nSampled, x.nPos)) == l.cells.map(x => (x.sizeD, x.nSampled, x.nPos)),
@@ -60,10 +64,10 @@ class SparkInQuestSpec extends SparkSpec {
       }
     }
     (cat.result.perSegment :+ cat.result.finalEstimate)
-      .zip(local.result.perSegment :+ local.result.finalEstimate).foreach { case (c, l) =>
+      .zip(local.perSegment :+ local.finalEstimate).foreach { case (c, l) =>
         assert(math.abs(c - l) < 1e-9, s"estimate mismatch: $c vs $l")
       }
-    assert(cat.result.oracleCalls == local.result.oracleCalls)
+    assert(cat.result.oracleCalls == local.oracleCalls)
     assert(cat.result.oracleCalls <= d.segments(q.segmentLength).size.toLong * q.budgetPerSegment)
   }
 
@@ -159,7 +163,7 @@ class SparkInQuestSpec extends SparkSpec {
     val reads = spark.sparkContext.longAccumulator("oracle reads")
     val oracle = udf { (f: Double) => reads.add(1); f }
     val df = SparkData.toDF(spark, ds, partitions = 4).withColumn("statistic", oracle(col("statistic")))
-    val r = catalyst(ds, df, query, 11).result
+    val r = catalyst(ds, df, query, 11)._1.result
     assert(r.oracleCalls == new InQuest().run(ds, query, 11).oracleCalls)
     assert(reads.value == r.oracleCalls)
   }
@@ -178,32 +182,32 @@ class SparkInQuestSpec extends SparkSpec {
   test("a failed batch changes nothing: its retry gives the local engine's trace") {
     val df = SparkData.toDF(spark, ds, partitions = 3)
     val engine = new StreamingInQuest(InQuestParams(), query, 5L)
-    ds.segments(query.segmentLength).zipWithIndex.foreach { case (seg, t) =>
+    val steps = ds.segments(query.segmentLength).zipWithIndex.map { case (seg, t) =>
       val batch = df.filter(col("idx") >= seg.start && col("idx") < seg.end)
       if (t == 0 || t == 2) {
         // The oracle read (action 2) fails on a batch without the statistic.
         intercept[AnalysisException](engine.processBatch(batch.drop("statistic")))
         assert(engine.result.perSegment.length == t)
       }
-      engine.processBatch(batch)
+      engine.processBatch(batch).get
     }
-    assertLocalTrace(engine, ds, query, 5L)
+    assertLocalTrace(engine, steps, ds, query, 5L)
   }
 
   test("a batch that repeats an idx fails, naming the smallest; its clean retry gives the local trace") {
     val df = SparkData.toDF(spark, ds, partitions = 3)
     val engine = new StreamingInQuest(InQuestParams(), query, 8L)
-    ds.segments(query.segmentLength).zipWithIndex.foreach { case (seg, t) =>
+    val steps = ds.segments(query.segmentLength).zipWithIndex.map { case (seg, t) =>
       val batch = df.filter(col("idx") >= seg.start && col("idx") < seg.end)
       if (t == 0 || t == 2) {
         val repeated = batch.filter(col("idx") >= seg.start + 100 && col("idx") < seg.start + 150)
         val e = intercept[IllegalArgumentException](engine.processBatch(batch.union(repeated)))
         assert(e.getMessage.contains(s"idx ${seg.start + 100} appears more than once"), e.getMessage)
-        assert(engine.steps.size == t && engine.result.perSegment.length == t)
+        assert(engine.result.perSegment.length == t)
       }
-      engine.processBatch(batch)
+      engine.processBatch(batch).get
     }
-    assertLocalTrace(engine, ds, query, 8L)
+    assertLocalTrace(engine, steps, ds, query, 8L)
   }
 
   test("a batch outside its tumbling window fails, naming the smallest such idx; its clean retry gives the local trace") {
@@ -216,18 +220,18 @@ class SparkInQuestSpec extends SparkSpec {
       1 -> ("a replayed window", windows(0, 1), 0),
       2 -> ("two windows in one batch", windows(2, 4), 3 * l))
     val engine = new StreamingInQuest(InQuestParams(), query, 10L)
-    ds.segments(l).zipWithIndex.foreach { case (seg, t) =>
+    val steps = ds.segments(l).zipWithIndex.map { case (seg, t) =>
       wrong.get(t).foreach { case (name, batch, first) =>
         val before = engine.latestEstimate
         val e = intercept[IllegalArgumentException](engine.processBatch(batch))
         assert(e.getMessage.contains(s"idx $first lies outside segment $t's window [${t * l}, ${(t + 1) * l})"),
           s"$name: ${e.getMessage}")
-        assert(engine.steps.size == t && engine.result.perSegment.length == t, name)
+        assert(engine.result.perSegment.length == t, name)
         assert(engine.latestEstimate == before, name)
       }
-      engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end))
+      engine.processBatch(df.filter(col("idx") >= seg.start && col("idx") < seg.end)).get
     }
-    assertLocalTrace(engine, ds, query, 10L)
+    assertLocalTrace(engine, steps, ds, query, 10L)
   }
 
   test("an empty segment changes nothing") {
