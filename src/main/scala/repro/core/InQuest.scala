@@ -27,7 +27,7 @@ final class InQuest(params: InQuestParams = InQuestParams()) extends StreamAlgor
     * `step` returned it, with the trial's [[RunResult]].
     */
   def prepareTraced(ds: StreamDataset, query: QueryConfig): Long => (IndexedSeq[InQuest.Step], RunResult) = {
-    val planner = new InQuest.Planner(params)
+    val planner = new InQuest.Planner(params, query.segmentLength)
     val plans = ds.segments(query.segmentLength).map { seg =>
       val (idx, proxy) = ds.keys(seg)
       planner.add(idx, proxy)(identity)
@@ -80,23 +80,39 @@ object InQuest {
 
   /** The data-only half of the InQuest control plane: GetStrata and
     * SplitStream, fed the stream's segments in order, one [[SegmentPlan]]
-    * per segment. It holds the EWMA of the strata S_1 … S_t, K−1 numbers
+    * per segment, L = `segmentLength` records each (the last may be
+    * short). It holds the EWMA of the strata S_1 … S_t, K−1 numbers
     * however many segments it has seen. The local engine adds every
     * segment once per call and shares the plans across trials; the
     * Catalyst engine adds one segment per micro-batch.
     */
-  final class Planner(params: InQuestParams) {
+  final class Planner(params: InQuestParams, segmentLength: Int) {
     private var t = 0
     private var smoothed = Stats.Ewma(params.alpha, params.k - 1)
 
     /** Plan the next segment, given as parallel `(idx, proxy)` keys of its
-      * records in any order, and hand the plan to `use`. The segment's
-      * strata join the EWMA only once `use` returns, so a `use` that
-      * throws leaves the planner as it was.
+      * records in any order, and hand the plan to `use`. The keys are
+      * checked first: every proxy finite, no `idx` repeated and every
+      * `idx` in segment t's window `[t·L, (t+1)·L)`, each failure naming
+      * the smallest bad `idx`, so a record that would count twice in
+      * |D_tk|, or a replayed, merged or skipped window, fails instead of
+      * being planned as segment t. The segment's strata join the EWMA
+      * only once `use` returns, so bad keys or a `use` that throws leave
+      * the planner as it was.
       */
     def add[A](idx: Array[Long], proxy: Array[Double])(use: SegmentPlan => A): A = {
       require(idx.nonEmpty && idx.length == proxy.length,
         s"a segment needs parallel, non-empty keys: ${idx.length}/${proxy.length}")
+      require(proxy.forall(java.lang.Double.isFinite), {
+        val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx(_))
+        s"non-finite proxy ${proxy(i)} at idx ${idx(i)}"
+      })
+      val sorted = idx.sorted
+      val repeat = (1 until sorted.length).find(j => sorted(j) == sorted(j - 1))
+      require(repeat.isEmpty, s"idx ${sorted(repeat.get)} appears more than once in the segment")
+      val (from, until) = (t.toLong * segmentLength, (t + 1).toLong * segmentLength)
+      require(sorted.head >= from && sorted.last < until,
+        s"idx ${sorted.find(i => i < from || i >= until).get} lies outside segment $t's window [$from, $until)")
       val ownStrata = Stratification.quantileStrata(ArraySeq.unsafeWrapArray(proxy), params.k)
       // Ŝ_t is a convex combination of sorted vectors, so it stays sorted.
       val b = if (t == 0) ownStrata else smoothed.value
@@ -181,9 +197,6 @@ object InQuest {
       perSegment.addOne(Estimator.estimate(segCells, query.agg))
       record
     }
-
-    /** The index of the next segment: the number stepped so far. */
-    def t: Int = perSegment.length
 
     /** The cumulative estimate over every segment stepped so far, in O(1). */
     def estimate: Double = prediction.value(query.agg)

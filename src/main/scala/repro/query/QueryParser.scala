@@ -85,7 +85,7 @@ object QueryParser {
   // (Figure 2) or between TUMBLE and ORACLE LIMIT (§2.3); accept either,
   // and reject a query that has both.
   private val QueryRe =
-    ("""(?is)\s*SELECT\s+(AVG|SUM|COUNT)\s*\((.+?)\)\s+FROM\s+(\w+)""" +
+    ("""(?is)\s*SELECT\s+(AVG|SUM|COUNT)\s*\((.+?)\)\s+FROM\s+([\w-]+)""" +
       """(?:\s+WHERE\s+(.+?))?""" +
       """\s+TUMBLE\s*\(\s*(\w+)\s*,\s*INTERVAL\s+'?([\d,]+)'?\s+(\w+)\s*\)""" +
       """(?:\s+WHERE\s+(.+?))?""" +

@@ -39,15 +39,16 @@ final case class StreamRecord(idx: Long, proxy: Double, statistic: Double, predi
   * as `StreamDataset.segments` defines segment t (the tests feed a
   * `MemoryStream` one segment at a time; a production deployment would use
   * a rate/Kafka source with a segment-sized trigger). Records inside a
-  * batch may arrive in any order and partitioning, but each only once: a
-  * batch that repeats an `idx` or holds one outside its window fails.
+  * batch may arrive in any order and partitioning, but each only once: the
+  * planner fails a batch that repeats an `idx` or holds one outside its
+  * window, or one with a non-finite proxy.
   */
 final class StreamingInQuest(
     params: InQuestParams,
     query: QueryConfig,
     trialSeed: Long,
 ) {
-  private val planner = new InQuest.Planner(params)
+  private val planner = new InQuest.Planner(params, query.segmentLength)
   private val session = new InQuest.Session(params, query, trialSeed)
   @volatile private var latest: Option[Double] = None
 
@@ -88,31 +89,10 @@ final class StreamingInQuest(
     */
   def result: RunResult = synchronized(session.result)
 
-  /** Action 1: every record's `(idx, proxy)`. Non-finite proxies,
-    * repeated `idx`s and `idx`s outside segment t's tumbling window
-    * `[t·L, (t+1)·L)` are rejected, naming the smallest bad `idx`: a
-    * repeated record would count twice in |D_tk| and in the sample, and a
-    * replayed, merged or skipped window would be estimated as segment t.
-    */
+  /** Action 1: every record's `(idx, proxy)`, which the planner checks. */
   private def collectKeys(segment: DataFrame): (Array[Long], Array[Double]) = {
     val rows = segment.select(col("idx"), col("proxy")).collect()
-    val idx = rows.map(_.getLong(0))
-    val proxy = rows.map(_.getDouble(1))
-    require(proxy.forall(java.lang.Double.isFinite), {
-      val i = proxy.indices.filterNot(j => java.lang.Double.isFinite(proxy(j))).minBy(idx(_))
-      s"non-finite proxy ${proxy(i)} at idx ${idx(i)}"
-    })
-    val sorted = idx.clone()
-    java.util.Arrays.sort(sorted)
-    var j = 1
-    while (j < sorted.length && sorted(j) != sorted(j - 1)) j += 1
-    require(j >= sorted.length, s"idx ${sorted(j)} appears more than once in the segment")
-    // Sorted, so the keys lie in the window when both ends do; only the
-    // error message scans them.
-    val (t, l) = (session.t, query.segmentLength.toLong)
-    require(sorted.isEmpty || (sorted.head >= t * l && sorted.last < (t + 1) * l),
-      s"idx ${sorted.find(i => i < t * l || i >= (t + 1) * l).get} lies outside segment $t's window [${t * l}, ${(t + 1) * l})")
-    (idx, proxy)
+    (rows.map(_.getLong(0)), rows.map(_.getDouble(1)))
   }
 
   /** Action 2: the oracle's `(statistic, predicate)` for the sampled

@@ -24,10 +24,13 @@ object Stats {
     if (n % 2 == 1) s(n / 2) else (s(n / 2 - 1) + s(n / 2)) / 2.0
   }
 
-  /** Geometric mean — the aggregation Tables 3 and 4 use across datasets. */
+  /** Geometric mean — the aggregation Tables 3 and 4 use across datasets.
+    * A 0 among the inputs gives 0 (`log 0` is −∞), as an error of exactly 0
+    * does when a budget covers the stream.
+    */
   def geomean(xs: Seq[Double]): Double = {
     require(xs.nonEmpty, "geomean of empty sequence")
-    require(xs.forall(_ > 0), s"geomean requires positive inputs, got $xs")
+    require(xs.forall(_ >= 0), s"geomean requires non-negative inputs, got $xs")
     math.exp(xs.map(math.log).sum / xs.size)
   }
 

@@ -4,7 +4,7 @@ import java.lang.Double.doubleToLongBits
 import org.scalacheck.Gen
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.StreamGen
-import repro.testkit.Checks
+import repro.testkit.{Checks, ReferenceInQuest}
 import repro.util.Stats
 
 class InQuestSpec extends AnyFunSuite {
@@ -70,7 +70,7 @@ class InQuestSpec extends AnyFunSuite {
 
   test("Planner.add: shuffled keys give equal boundaries and equal, ascending strata in every segment") {
     def plans(shuffle: Boolean): Seq[InQuest.SegmentPlan] = {
-      val planner = new InQuest.Planner(InQuestParams())
+      val planner = new InQuest.Planner(InQuestParams(), query.segmentLength)
       ds.segments(query.segmentLength).map { seg =>
         val (idx, proxy) = ds.keys(seg)
         val order = if (shuffle) new scala.util.Random(seg.start).shuffle(idx.indices.toVector) else idx.indices
@@ -83,6 +83,56 @@ class InQuestSpec extends AnyFunSuite {
       assert(a.boundaries.toSeq == b.boundaries.toSeq, s"segment ${a.t}")
       assert(a.strata.map(_.toSeq).toSeq == b.strata.map(_.toSeq).toSeq, s"segment ${a.t}")
       b.strata.foreach(s => assert(s.toSeq == s.sorted.toSeq, s"segment ${b.t}: a stratum is not ascending"))
+    }
+  }
+
+  test("Planner.add rejects bad keys, naming the smallest bad idx, and changes nothing") {
+    // Three segments of L = 6 keys each, in ascending idx, with distinct proxies.
+    val keyLen = 6
+    val rng = new scala.util.Random(3)
+    val cleanKeys = Seq.tabulate(3)(t =>
+      (Array.tabulate(keyLen)(i => (keyLen * t + i).toLong), Array.fill(keyLen)(rng.nextDouble())))
+    def planBits(p: InQuest.SegmentPlan) = (p.t, p.boundaries.toSeq.map(doubleToLongBits), p.strata.toSeq.map(_.toSeq))
+    val clean = {
+      val planner = new InQuest.Planner(InQuestParams(), keyLen)
+      cleanKeys.map { case (idx, proxy) => planBits(planner.add(idx, proxy)(identity)) }
+    }
+    // Segment t's keys made bad, reversed so that the smallest bad idx is
+    // not the first, and the message that names it.
+    def bad(t: Int): Seq[(String, Array[Long], Array[Double], String)] = {
+      val (idx, proxy) = cleanKeys(t)
+      val (from, until) = (keyLen * t, keyLen * (t + 1))
+      val window = s"lies outside segment $t's window [$from, $until)"
+      val nonFinite = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity).map { v =>
+        (s"proxy $v", idx, proxy.indices.map(i => if (i == 2 || i == 4) v else proxy(i)).toArray,
+          s"non-finite proxy $v at idx ${from + 2}")
+      }
+      // Each copy's proxy is the other end of the segment's range, so the
+      // copies would land in different strata.
+      val (lo, hi) = (proxy.min, proxy.max)
+      val repeated = ("a repeated idx", idx ++ Array(idx(3), idx(1)),
+        proxy ++ Array(if (proxy(3) == lo) hi else lo, if (proxy(1) == hi) lo else hi),
+        s"idx ${from + 1} appears more than once in the segment")
+      // Each window case moves some keys out and names the smallest moved.
+      val outside = Seq(
+        ("idxs below the window", Map(5 -> (from - 1L), 4 -> (from - 3L))),
+        ("the idx just below the window", Map(0 -> (from - 1L))),
+        ("the idx at the window's end", Map(5 -> until.toLong)),
+        ("idxs above the window", Map(0 -> (until + 4L), 1 -> (until + 2L))),
+      ).map { case (name, moved) =>
+        (name, moved.foldLeft(idx) { case (a, (i, v)) => a.updated(i, v) }, proxy, s"idx ${moved.values.min} $window")
+      }
+      (nonFinite ++ (repeated +: outside)).map { case (name, i, p, msg) => (name, i.reverse, p.reverse, msg) }
+    }
+    Seq(0, 1, 2).foreach { t =>
+      bad(t).foreach { case (name, idx, proxy, msg) =>
+        val planner = new InQuest.Planner(InQuestParams(), keyLen)
+        cleanKeys.take(t).foreach { case (i, p) => planner.add(i, p)(identity) }
+        val e = intercept[IllegalArgumentException](planner.add(idx, proxy)(identity))
+        assert(e.getMessage.contains(msg), s"segment $t, $name: ${e.getMessage}")
+        val retried = cleanKeys.drop(t).map { case (i, p) => planBits(planner.add(i, p)(identity)) }
+        assert(retried == clean.drop(t), s"segment $t, $name: the retry planned other bits")
+      }
     }
   }
 
@@ -207,6 +257,53 @@ class InQuestSpec extends AnyFunSuite {
     assert(doubleToLongBits(lone.finalEstimate) == doubleToLongBits(-0.0))
   }
 
+  /** A small stream, its query and parameters, and a trial seed, covering
+    * ties and constant proxies, K above the distinct proxies, budgets at
+    * or above a stratum's and a segment's size, a short final segment,
+    * α and the defensive fraction at 0 and 1, and every aggregate with and
+    * without the predicate.
+    */
+  private val referenceCases: Gen[(StreamDataset, QueryConfig, InQuestParams, Long)] = for {
+    l <- Gen.choose(1, 24)
+    nSegments <- Gen.choose(1, 5)
+    short <- Gen.choose(0, l - 1)
+    proxyLevels <- Gen.oneOf(0, 1, 2, 3) // 0: continuous
+    positiveRate <- Gen.oneOf(0.0, 0.3, 0.7, 1.0)
+    integerStatistic <- Gen.oneOf(true, false)
+    dataSeed <- Gen.choose(0L, 1L << 40)
+    k <- Gen.choose(1, 6)
+    budget <- Gen.choose(1, l + 4)
+    alpha <- Gen.oneOf(0.0, 0.3, 0.8, 1.0)
+    defensive <- Gen.oneOf(0.0, 0.1, 0.5, 1.0)
+    agg <- Gen.oneOf(AggFunc.Avg, AggFunc.Sum, AggFunc.Count)
+    usePredicate <- Gen.oneOf(true, false)
+    trialSeed <- Gen.choose(0L, 1L << 40)
+  } yield {
+    val rng = new scala.util.Random(dataSeed)
+    val n = math.max(1, nSegments * l - short)
+    val proxy = Array.fill(n)(if (proxyLevels == 0) rng.nextDouble() else rng.nextInt(proxyLevels) / 4.0)
+    val statistic = Array.fill(n)(if (integerStatistic) rng.nextInt(5).toDouble else 3.7 * rng.nextGaussian() + 0.1)
+    val predicate = Array.fill(n)(rng.nextDouble() < positiveRate)
+    (StreamDataset("ref", proxy, statistic, predicate), QueryConfig(agg, usePredicate, l, budget),
+      InQuestParams(k, alpha, defensive), trialSeed)
+  }
+
+  test("prepareTraced equals the literal reference of Algorithms 1–2, bit for bit") {
+    def cellBits(c: StratumStats) = (c.sizeD, c.nSampled, c.nPos, doubleToLongBits(c.sumF), doubleToLongBits(c.sumSqF))
+    def stepBits(boundaries: Seq[Double], cells: Seq[StratumStats], raw: Seq[Double]) =
+      (boundaries.map(doubleToLongBits), cells.map(cellBits), raw.map(doubleToLongBits))
+    val catalogue = (ds, query, InQuestParams(), 1L)
+    (catalogue +: Checks.samples(referenceCases, n = 400)).foreach { case (d, q, params, seed) =>
+      val clue = s"$q $params seed=$seed proxies=${d.proxy.take(8).mkString(",")}"
+      val (steps, result) = new InQuest(params).prepareTraced(d, q)(seed)
+      val (refSteps, ref) = ReferenceInQuest.run(d, q, params, seed)
+      assert(steps.map(_.t) == steps.indices, clue)
+      assert(steps.map(s => stepBits(s.boundaries.toSeq, s.cells, s.rawAllocation.toSeq)) ==
+        refSteps.map(s => stepBits(s.boundaries, s.cells, s.rawAllocation)), clue)
+      assert(bits(result) == bits(ref), clue)
+    }
+  }
+
   test("work per segment does not grow with t over 10 000 small segments") {
     val (segments, len) = (10000, 16)
     val d = StreamGen.videoLike("long", segments * len, 0.5, 0.9, seed = 5)
@@ -216,7 +313,7 @@ class InQuestSpec extends AnyFunSuite {
     // Nanoseconds of each step, with the cumulative estimate read after it
     // as `processBatch` reads it.
     def stepNanos(): Array[Long] = {
-      val planner = new InQuest.Planner(params)
+      val planner = new InQuest.Planner(params, len)
       val session = new InQuest.Session(params, q, 3L)
       val oracle = new OracleModel(d.statistic, d.predicate, len, Some(q.budgetPerSegment))
       val observe: InQuest.Oracle = (cells, _) =>

@@ -35,6 +35,15 @@ class TablesSpec extends SparkSpec {
     assert(rendered.contains("improvement vs abae"))
   }
 
+  test("a budget that covers the stream renders: every error is exactly 0") {
+    // NT = 5000 over 5000 records: every algorithm samples every record.
+    val s = Tables.rmseSummary(spark, usePredicate = false, Tables.Scale(5000, 4, 1, 5000))
+    Algorithms.All.foreach(a => assert(s.rmse(a)("5000") == 0.0 && s.rmse(a)("All") == 0.0, a))
+    val improvements = Tables.render(s).linesIterator.filter(_.startsWith("improvement")).toSeq
+    assert(improvements.size == 3)
+    improvements.foreach(row => assert(!row.contains("Infinityx"), row))
+  }
+
   test("adversarial summary covers every shift count") {
     val s = Tables.adversarial(spark, tiny)
     assert(s.columns == Seq("1", "2", "3", "4", "5"))

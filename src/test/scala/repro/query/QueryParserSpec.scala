@@ -2,6 +2,7 @@ package repro.query
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.AggFunc
+import repro.data.Datasets
 
 class QueryParserSpec extends AnyFunSuite {
 
@@ -46,6 +47,19 @@ class QueryParserSpec extends AnyFunSuite {
     assert(q.window == Interval(30, "MINUTES"))
     assert(q.oracleLimit == 5000)
     assert(q.duration.contains(Interval(4, "HOURS")))
+  }
+
+  test("every catalogue stream can be named in FROM, with WHERE before or after TUMBLE") {
+    Datasets.names.foreach { name =>
+      Seq(
+        s"SELECT AVG(count(car)) FROM $name WHERE has_car(frame) TUMBLE(idx, INTERVAL '100,000' FRAMES) ORACLE LIMIT 100 USING p",
+        s"SELECT AVG(count(car)) FROM $name TUMBLE(idx, INTERVAL '100,000' FRAMES) WHERE has_car(frame) ORACLE LIMIT 100 USING p",
+      ).foreach { sql =>
+        val q = QueryParser.parse(sql)
+        assert(q.dataset == name, sql)
+        assert(q.predicate.contains("has_car(frame)"), sql)
+      }
+    }
   }
 
   test("parses SUM aggregation and RECORDS unit") {

@@ -33,8 +33,15 @@ class StatsSpec extends AnyFunSuite {
   test("geomean of known values") {
     assert(math.abs(Stats.geomean(Seq(1.0, 4.0)) - 2.0) < eps)
   }
-  test("geomean rejects non-positive values") {
-    assertThrows[IllegalArgumentException](Stats.geomean(Seq(1.0, 0.0)))
+  test("geomean rejects negative and NaN values") {
+    assertThrows[IllegalArgumentException](Stats.geomean(Seq(1.0, -1.0)))
+    assertThrows[IllegalArgumentException](Stats.geomean(Seq(1.0, -0.5, 0.0)))
+    assertThrows[IllegalArgumentException](Stats.geomean(Seq(1.0, Double.NaN)))
+  }
+  test("geomean of inputs with a 0 is 0: an error of exactly 0") {
+    assert(Stats.geomean(Seq(0.0)) == 0.0)
+    assert(Stats.geomean(Seq(1.0, 0.0, 4.0)) == 0.0)
+    assert(Stats.geomean(Seq.fill(6)(0.0)) == 0.0)
   }
   test("geomean is at most the arithmetic mean (AM-GM)") {
     forAllSampled(Gen.nonEmptyListOf(Gen.chooseNum(0.1, 50.0)).map(_.take(20)), n = 100) { xs =>
